@@ -171,6 +171,9 @@ def cmd_gaps(args) -> int:
 
         with open(args.spectrum_file, "r", encoding="utf-8") as fh:
             rows = [line.split(",") for line in fh.read().strip().splitlines()[1:]]
+        if any(len(r) < 2 for r in rows):
+            raise AperiodixError(f"{args.spectrum_file}: every row after the header "
+                                 "must read index,eigenvalue")
         eigs = np.array([float(r[1]) for r in rows])
         gaps = bulk_gaps(EnergySpectrum(np.sort(eigs)), args.rel_threshold)
     else:
@@ -223,14 +226,23 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _read_gaps_ids(path: str) -> list:
+    with open(path, "r", encoding="utf-8") as fh:
+        gaps_doc = json.load(fh)
+    try:
+        return [g["ids"] for g in gaps_doc.get("gaps", [])]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise AperiodixError(f'{path}: a gaps document is an object whose "gaps" '
+                             f'entries each carry "ids" ({type(exc).__name__}: {exc})') from exc
+
+
 def cmd_bloch(args) -> int:
+    gaps_ids = _read_gaps_ids(args.gaps_file) if args.gaps_file else None
     report = bloch_report(args.family, tol=args.tol, q_max=args.q_max,
                           n_max=args.nmax, rel_threshold=args.rel_threshold)
     data = report_to_dict(report)
-    if args.gaps_file:
-        with open(args.gaps_file, "r", encoding="utf-8") as fh:
-            gaps_doc = json.load(fh)
-        data["gaps_file_ids"] = [g["ids"] for g in gaps_doc.get("gaps", [])]
+    if gaps_ids is not None:
+        data["gaps_file_ids"] = gaps_ids
     _dump_json(data, args.out)
     if args.svg:
         rule = builtin_rule(args.family)

@@ -23,30 +23,27 @@ import sympy
 
 from .errors import NoFixedPoint, Unrecognized
 from .exactla import (
-    QuadExt,
-    field_kernel_vector,
+    companion,
     frac_inverse,
     frac_kernel,
     frac_matrix,
     frac_solve,
+    lattice_hnf,
     mat_mul,
     saturation,
     smith_normal_form,
     transpose,
 )
-from .groups import (
-    LabelGroup,
-    localized_group,
-    rational_lattice_hnf,
-    squarefree_decompose,
-    two_gen_group,
-)
+from .groups import LabelGroup, field_group, localized_group, two_gen_group
 from .substitution import (
     OccurrenceMatrix,
     SubstitutionRule,
-    char_poly,
+    least_period,
     occurrence_matrix,
+    perron_root,
 )
+
+FIXED_POINT_PREFIX = 2**18
 
 __all__ = [
     "CollaredAlphabet",
@@ -181,30 +178,19 @@ def collar(rule: SubstitutionRule, radius: int = 1) -> CollaredAlphabet:
 def fixed_point_period(rule: SubstitutionRule) -> int | None:
     """Least period of the substitution fixed point, or None if aperiodic.
 
-    A fixed point of sigma^k (k <= 4) is expanded until long; the candidate
-    period from the KMP border must persist at two consecutive orders and
-    stay below a quarter of the window to count as periodic.
+    A fixed point of sigma^k (k <= 4) is expanded to 2^18 letters; a period
+    counts if it is at most 2^14, a quarter of the 2^16-letter window it
+    shows in, and holds on all 2^18 letters (least_period).
     """
     seed, power = _fixed_point_seed(rule)
-    images = {c: c for c in rule.alphabet}
-    for _ in range(power):
-        images = {c: "".join(rule.images[x] for x in images[c]) for c in rule.alphabet}
-
-    word = seed
-    previous = None
-    for _ in range(40):
-        word = "".join(images[c] for c in word)[:65536]
-        if len(word) < 2048:
-            continue
-        p = _least_period(word)
-        if p > len(word) // 4:
-            return None
-        if previous == p:
-            return p
-        previous = p
-        if len(word) >= 65536:
-            return p if p <= len(word) // 4 else None
-    return None
+    # sigma^step(c) for every letter c, each cut to the prefix length
+    words = {c: c for c in rule.alphabet}
+    for step in range(1, 64 * power + 1):
+        words = {c: "".join(words[x] for x in rule.images[c])[:FIXED_POINT_PREFIX]
+                 for c in rule.alphabet}
+        if step % power == 0 and len(words[seed]) == FIXED_POINT_PREFIX:
+            break
+    return least_period(words[seed], len(words[seed]) // 16)
 
 
 def _fixed_point_seed(rule: SubstitutionRule) -> tuple[str, int]:
@@ -215,20 +201,6 @@ def _fixed_point_seed(rule: SubstitutionRule) -> tuple[str, int]:
                 return c, power
         images = {c: "".join(rule.images[x] for x in images[c]) for c in rule.alphabet}
     raise NoFixedPoint("no power up to 4 of the substitution fixes a letter")
-
-
-def _least_period(word: str) -> int:
-    # KMP failure function; least p with word[i] == word[i+p] on the window
-    n = len(word)
-    border = [0] * (n + 1)
-    k = 0
-    for i in range(1, n):
-        while k and word[i] != word[k]:
-            k = border[k]
-        if word[i] == word[k]:
-            k += 1
-        border[i + 1] = k
-    return n - border[n]
 
 
 # -- direct limits ------------------------------------------------------------
@@ -476,126 +448,50 @@ def _h1_action_matrix(rule: SubstitutionRule, radius: int):
 def trace_image(rule: SubstitutionRule) -> LabelGroup:
     """Image in R of the cohomology trace (patch-frequency module).
 
-    Generated by lambda1^(-k) times the collared letter frequencies; for a
-    quadratic unit lambda1 this is recognised as Z + rho Z, for an integer
-    prime power lambda1 = p^j as a Z[1/p].  Everything is computed in exact
-    arithmetic over Q or Q(sqrt(d)).
+    Generated by lambda1^(-k) times the collared letter frequencies, which
+    lie in Q(lambda1): each is held as its rational coordinates in the power
+    basis of lambda1's minimal polynomial f (exactla), so the computation is
+    exact rational arithmetic.  For a quadratic unit lambda1 the module is a
+    lattice recognised as Z + rho Z; for an integer prime power
+    lambda1 = p^j it is a Z[1/p] scaled by the frequencies' gcd.
     """
     period = fixed_point_period(rule)
     if period is not None:
         return two_gen_group(Fraction(1, period))
-    lam = _exact_perron_root(occurrence_matrix(rule))
+    lam, f, _ = perron_root(occurrence_matrix(rule))
+    if len(f) > 3:
+        raise Unrecognized("Perron root is neither rational nor quadratic")
     col = collar(rule, 1)
-    if isinstance(lam, QuadExt):
-        return _trace_quadratic(col, lam)
-    return _trace_integer(col, int(lam))
-
-
-def _exact_perron_root(m: OccurrenceMatrix):
-    """Perron root as Fraction (degree 1) or QuadExt (degree 2)."""
-    poly = char_poly(m)
-    lam_numeric = max(sympy.re(sympy.N(r, 50)) for r in poly.all_roots(radicals=False)
-                      if abs(sympy.im(sympy.N(r, 50))) < 1e-40)
-    for factor, _ in sympy.factor_list(poly.as_expr())[1]:
-        fpoly = sympy.Poly(factor, poly.gen)
-        real = fpoly.real_roots()
-        if not real:
-            continue
-        top = max(real)
-        if abs(sympy.N(top - lam_numeric, 50)) < sympy.Float(10) ** -30:
-            deg = fpoly.degree()
-            coeffs = [Fraction(int(c)) for c in fpoly.all_coeffs()]
-            if deg == 1:
-                return -coeffs[1]
-            if deg == 2:
-                b, c = coeffs[1], coeffs[2]
-                disc = b * b - 4 * c
-                if disc.denominator != 1 or disc <= 0:
-                    break
-                scale, d = squarefree_decompose(int(disc))
-                return QuadExt(-b / 2, Fraction(scale, 2), d)
-            break
-    raise Unrecognized("Perron root is neither rational nor quadratic")
-
-
-def _collared_frequencies(col: CollaredAlphabet, lam, zero, one):
-    """Exact Perron frequency vector of the collared matrix, sum normalised to 1."""
-    n = col.size
-    mat = [[one * col.matrix[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        mat[i][i] = mat[i][i] - lam
-    vec = field_kernel_vector(mat, zero, one)
-    if vec is None:
-        raise Unrecognized("collared matrix has no Perron kernel vector")
-    total = zero
-    for x in vec:
-        total = total + x
-    if _is_zero_generic(total):
-        raise Unrecognized("degenerate Perron vector")
-    return [x / total for x in vec]
-
-
-def _is_zero_generic(x):
-    return x.is_zero() if isinstance(x, QuadExt) else x == 0
-
-
-def _trace_integer(col: CollaredAlphabet, lam: int) -> LabelGroup:
-    primes = sympy.factorint(lam)
-    if len(primes) != 1:
-        raise Unrecognized(f"composite inflation factor {lam} unsupported")
-    p = int(next(iter(primes)))
-    freqs = _collared_frequencies(col, Fraction(lam), Fraction(0), Fraction(1))
-    scale = Fraction(0)
-    for f in freqs:
-        scale = _fraction_gcd(scale, f)
-    if scale == 0:
-        raise Unrecognized("zero frequency vector")
-    return localized_group(scale, p)
-
-
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    import math
-
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
-
-
-def _trace_quadratic(col: CollaredAlphabet, lam: QuadExt) -> LabelGroup:
-    if abs(lam.norm()) != 1:
+    if len(f) == 2:
+        primes = sympy.factorint(-f[1])
+        if len(primes) != 1:
+            raise Unrecognized(f"composite inflation factor {-f[1]} unsupported")
+        [(scale,)] = lattice_hnf(_collared_frequencies(col, f))
+        return localized_group(scale, int(next(iter(primes))))
+    if abs(f[2]) != 1:
         raise Unrecognized("quadratic inflation factor is not a unit")
-    zero = QuadExt(Fraction(0), Fraction(0), lam.d)
-    one = QuadExt(Fraction(1), Fraction(0), lam.d)
-    freqs = _collared_frequencies(col, lam, zero, one)
-    inv = one / lam
-    # lattice of (rational, sqrt(d)) coefficient pairs, closed under *1/lambda
-    gens = [(f.a, f.b) for f in freqs]
-    lattice = rational_lattice_hnf(gens)
-    for _ in range(64):
-        extended = list(lattice)
-        for a, b in lattice:
-            prod = QuadExt(a, b, lam.d) * inv
-            extended.append((prod.a, prod.b))
-        new = rational_lattice_hnf(extended)
-        if new == lattice:
-            break
-        lattice = new
-    else:
-        raise Unrecognized("frequency lattice failed to stabilise")
-    if len(lattice) != 2:
-        raise Unrecognized("frequency lattice is not rank 2", generators=lattice)
-    if not _lattice_contains_one(lattice):
-        raise Unrecognized("frequency lattice does not contain 1", generators=lattice)
-    from .groups import _display_rho
-
-    rho = _display_rho(lam.d, lattice)
-    return LabelGroup(kind="two_gen", rho=rho, lattice=(lam.d, tuple(lattice)))
+    freqs = _collared_frequencies(col, f)
+    # 1/lambda of a quadratic unit is an algebraic integer of degree 2, so
+    # Z[1/lambda] = Z + Z/lambda: one multiplication closes the lattice
+    divided = transpose(mat_mul(frac_inverse(companion(f)), transpose(freqs)))
+    return field_group(f, lam, freqs + divided)
 
 
-def _lattice_contains_one(cols) -> bool:
-    sol = frac_solve([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]],
-                     [Fraction(1), Fraction(0)])
-    return sol is not None and all(x.denominator == 1 for x in sol)
+def _collared_frequencies(col: CollaredAlphabet, f) -> list[list[Fraction]]:
+    """Exact Perron frequencies of the collared matrix, in Q(lambda1), sum 1.
+
+    n frequencies of d power-basis coordinates each: M v = lambda1 v reads
+    (M (x) I_d - I_n (x) C) v = 0 with C = companion(f), and sum_i v_i = 1
+    picks the one solution (the Perron eigenvalue of a primitive matrix is
+    simple).
+    """
+    c = companion(f)
+    n, d = col.size, len(c)
+    rows = [[col.matrix[i][j] * (k == m) - (i == j) * c[k][m]
+             for j in range(n) for m in range(d)] for i in range(n) for k in range(d)]
+    rows += [[int(k == m) for _ in range(n) for m in range(d)] for k in range(d)]
+    one = [0] * (n * d) + [int(k == d - 1) for k in range(d)]
+    v = frac_solve(rows, one)
+    if v is None:
+        raise Unrecognized("collared matrix has no Perron kernel vector")
+    return [v[i * d:(i + 1) * d] for i in range(n)]

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .substitution import least_period
+
 APPROX_DIGITS = 60
 
 
@@ -58,18 +60,7 @@ class CPParams:
 
 def chi(n: int, params: CPParams) -> int:
     """Characteristic sign at integer n; an exact zero resolves to +1."""
-    p, q = params.slope.numerator, params.slope.denominator
-    t = (n * p) % q  # exact reduction of n s mod 1
-    if params.phason == 0.0 and params.exact:
-        # bracket vanishes iff 2 n s = +- s (mod 2), an integer congruence
-        if (2 * t - p) % (2 * q) == 0 or (2 * t + p) % (2 * q) == 0:
-            return 1
-    value = math.cos(2 * math.pi * t / q + params.phason) - math.cos(math.pi * p / q)
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 1
+    return 1 if cp_word(params, n) == params.letter_plus else -1
 
 
 def cp_word(params: CPParams, n0: int = 0, count: int = 1) -> str:
@@ -94,37 +85,18 @@ def cp_word(params: CPParams, n0: int = 0, count: int = 1) -> str:
 
 
 def check_periodicity(params: CPParams, horizon: int = 10000):
-    """Smallest period at most horizon/2, verified beyond the horizon.
+    """Smallest period at most horizon/2, confirmed on four horizons.
 
     Quasiperiodic words carry long borders, so a candidate period from the
     horizon window alone can be spurious (a Sturmian word of length h always
     repeats with some Fibonacci-number lag below h/2).  The candidate must
-    survive an extension of five further periods to count; genuine rational
-    periods always do, while Sturmian pseudo-periods break within about
-    3.6 periods (the critical exponent of the word).
+    hold on the first 4 * horizon letters to count; genuine rational periods
+    always do, while Sturmian pseudo-periods break within about 3.6 periods
+    (the critical exponent of the word).
 
     Returns {"periodic": bool, "period": int | None}.
     """
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
-    word = cp_word(params, 0, horizon)
-    period = _least_period(word)
-    if period > horizon // 2:
-        return {"periodic": False, "period": None}
-    extended = cp_word(params, 0, horizon + 5 * period)
-    if extended[:-period] == extended[period:]:
-        return {"periodic": True, "period": period}
-    return {"periodic": False, "period": None}
-
-
-def _least_period(word: str) -> int:
-    n = len(word)
-    border = [0] * (n + 1)
-    k = 0
-    for i in range(1, n):
-        while k and word[i] != word[k]:
-            k = border[k]
-        if word[i] == word[k]:
-            k += 1
-        border[i + 1] = k
-    return n - border[n]
+    period = least_period(cp_word(params, 0, 4 * horizon), horizon // 2)
+    return {"periodic": period is not None, "period": period}

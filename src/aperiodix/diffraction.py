@@ -123,11 +123,6 @@ def contrast_weights(chain: AtomChain, species: str = "a") -> np.ndarray:
     return marks - marks.mean()
 
 
-def contrast_amplitude(chain: AtomChain, k: float, species: str = "a") -> float:
-    w = contrast_weights(chain, species)
-    return abs((w * np.exp(-1j * k * chain.positions)).sum())
-
-
 def scaled_chain(rule: SubstitutionRule, order: int) -> AtomChain:
     """Perron-length chain rescaled to unit mean spacing (k in units of 1/dbar)."""
     chain = chain_from_rule(rule, order)
@@ -181,6 +176,7 @@ def peak_scaling(rule: SubstitutionRule, k_star: float, orders,
         raise ValueError("need at least 4 orders for a scaling fit")
     amplitudes = []
     lengths = []
+    atoms = []
     k_refined = k_star
     for order in orders:
         chain = scaled_chain(rule, order)
@@ -194,8 +190,8 @@ def peak_scaling(rule: SubstitutionRule, k_star: float, orders,
                                  k_star + refine_halfwidth)
         amplitudes.append(amp(k_refined))
         lengths.append(chain.total_length)
-    s_values = [a * a / ln for a, ln in zip(amplitudes,
-                                            [scaled_chain(rule, o).n_atoms for o in orders])]
+        atoms.append(chain.n_atoms)
+    s_values = [a * a / n for a, n in zip(amplitudes, atoms)]
     xs = np.log(lengths)
     ys = np.log(np.maximum(s_values, 1e-300))
     slope = float(np.polyfit(xs, ys, 1)[0])

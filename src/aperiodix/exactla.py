@@ -1,14 +1,17 @@
 """Exact integer and rational linear algebra.
 
-Everything here runs on Python ints, fractions.Fraction, or QuadExt numbers
-(elements of a real quadratic field), so the cohomology and trace-group
-computations never touch floating point.
+Everything here runs on Python ints and fractions.Fraction, so the
+cohomology and trace-group computations never touch floating point.  An
+element of a number field Q(lambda) of degree d is a rational vector of its
+coordinates in the power basis lambda^(d-1), ..., lambda, 1 (highest power
+first, like a coefficient list); multiplication by lambda is the companion
+matrix of lambda's minimal polynomial, and a finitely generated subgroup is
+the Hermite normal form of its generators (lattice_hnf).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 IntMatrix = list[list[int]]
@@ -248,125 +251,28 @@ def saturation(columns: IntMatrix) -> IntMatrix:
     return hermite_column_form(basis)
 
 
-# -- quadratic field numbers -------------------------------------------------
+# -- number fields in power-basis coordinates --------------------------------
 
-@dataclass(frozen=True)
-class QuadExt:
-    """Number a + b sqrt(d) with rational a, b and squarefree d > 1."""
+def companion(poly) -> IntMatrix:
+    """Matrix of multiplication by a root lambda of the monic poly.
 
-    a: Fraction
-    b: Fraction
-    d: int
-
-    @staticmethod
-    def of(a, b=0, d=5) -> "QuadExt":
-        return QuadExt(Fraction(a), Fraction(b), d)
-
-    def _check(self, other: "QuadExt"):
-        if self.d != other.d:
-            raise ValueError("mixing different quadratic fields")
-
-    def __add__(self, other):
-        other = _coerce(other, self.d)
-        self._check(other)
-        return QuadExt(self.a + other.a, self.b + other.b, self.d)
-
-    def __sub__(self, other):
-        other = _coerce(other, self.d)
-        self._check(other)
-        return QuadExt(self.a - other.a, self.b - other.b, self.d)
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        other = _coerce(other, self.d)
-        self._check(other)
-        return QuadExt(self.a * other.a + self.d * self.b * other.b,
-                       self.a * other.b + self.b * other.a, self.d)
-
-    def __truediv__(self, other):
-        other = _coerce(other, self.d)
-        self._check(other)
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        conj = other.conjugate()
-        num = self * conj
-        return QuadExt(num.a / n, num.b / n, self.d)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return _coerce(other, self.d) - self
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.d * self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-    def __repr__(self):
-        return f"({self.a}+{self.b}*sqrt({self.d}))"
-
-
-def _coerce(x, d: int) -> QuadExt:
-    if isinstance(x, QuadExt):
-        return x
-    return QuadExt(Fraction(x), Fraction(0), d)
-
-
-def field_kernel_vector(matrix, zero, one):
-    """One kernel vector of a square matrix over an arbitrary field.
-
-    Entries must support +, -, *, / and an is_zero() test (QuadExt or
-    Fraction wrapped accordingly).  Returns None when the matrix is regular.
+    poly lists the integer coefficients highest first; coordinates are taken
+    in the power basis lambda^(d-1), ..., lambda, 1, so lambda times
+    (c_(d-1), ..., c_0) is C @ c.
     """
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    piv_col_of_row = []
-    used_cols = []
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, n):
-            if not _is_zero(m[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv_p = one / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(n):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_col_of_row.append(c)
-        used_cols.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in used_cols]
-    if not free:
-        return None
-    f = free[0]
-    vec = [zero] * n
-    vec[f] = one
-    for row, c in enumerate(piv_col_of_row):
-        vec[c] = zero - m[row][f]
-    return vec
+    d = len(poly) - 1
+    return [[-poly[i + 1] if j == 0 else int(j == i + 1) for j in range(d)]
+            for i in range(d)]
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, QuadExt):
-        return x.is_zero()
-    return x == 0
+def lattice_hnf(vectors) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of the Z-span of rational vectors (Hermite normal form).
+
+    Equal lattices give equal bases: pivots are positive, in increasing
+    coordinate order, and entries beside a pivot are reduced below it.
+    """
+    vectors = [[Fraction(x) for x in v] for v in vectors]
+    denom = math.lcm(*(x.denominator for v in vectors for x in v))
+    columns = transpose([[int(x * denom) for x in v] for v in vectors])
+    return [tuple(Fraction(x, denom) for x in col)
+            for col in transpose(hermite_column_form(columns))]

@@ -3,7 +3,9 @@
 Supported kinds: Z + rho Z with rho irrational (two generators), the cyclic
 degenerations (1/q)Z, and scaled localisations a Z[1/p].  Membership is only
 meaningful with coordinate bounds since Z + rho Z is dense; the bounds mirror
-how two-integer labels are read off finite spectra.
+how two-integer labels are read off finite spectra.  An exact Z + rho Z is a
+lattice in a real quadratic field Q(lambda), held in the power-basis
+coordinates of exactla (field_group).
 """
 
 from __future__ import annotations
@@ -13,48 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import UnknownFamily
-from .exactla import QuadExt, hermite_column_form
+import sympy
+
+from .errors import UnknownFamily, Unrecognized
+from .exactla import lattice_hnf
 
 DEFAULT_Q_MAX = 30
 DEFAULT_N_MAX = 12
 DEFAULT_TOL = 1e-3
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; returns (s, d)."""
-    if n <= 0:
-        raise ValueError("need a positive integer")
-    s, d = 1, 1
-    remaining = n
-    f = 2
-    while f * f <= remaining:
-        power = 0
-        while remaining % f == 0:
-            remaining //= f
-            power += 1
-        if power:
-            s *= f ** (power // 2)
-            if power % 2:
-                d *= f
-        f += 1
-    d *= remaining
-    return s, d
-
-
-def rational_lattice_hnf(columns: list[tuple[Fraction, Fraction]]):
-    """Canonical basis of a rank-<=2 lattice in Q^2 (columns of Fractions)."""
-    if not columns:
-        return []
-    denom = 1
-    for a, b in columns:
-        denom = denom * a.denominator // math.gcd(denom, a.denominator)
-        denom = denom * b.denominator // math.gcd(denom, b.denominator)
-    int_cols = [[int(a * denom) for a, _ in columns],
-                [int(b * denom) for _, b in columns]]
-    h = hermite_column_form(int_cols)
-    ncols = len(h[0]) if h else 0
-    return [tuple(Fraction(h[r][c], denom) for r in range(2)) for c in range(ncols)]
 
 
 @dataclass(frozen=True)
@@ -64,7 +32,10 @@ class LabelGroup:
     kind: str  # "cyclic" | "two_gen" | "localized"
     q: int = 1                      # cyclic
     rho: float = 0.0                # two_gen, in (0, 1)
-    lattice: Optional[tuple] = None  # two_gen exact: (d, ((a,b), (c,e)) columns)
+    # two_gen exact: (f, basis), f the minimal polynomial of lambda (monic
+    # integer coefficients, highest first) and basis the lattice_hnf basis of
+    # the group in the power-basis coordinates (lambda-coefficient, constant)
+    lattice: Optional[tuple] = None
     scale: Fraction = Fraction(1)   # localized
     prime: int = 2                  # localized
 
@@ -118,41 +89,29 @@ def two_gen_group(rho) -> LabelGroup:
     if isinstance(rho, Fraction) or isinstance(rho, int):
         frac = Fraction(rho)
         return cyclic_group(frac.denominator)
-    if isinstance(rho, QuadExt):
-        if rho.is_rational():
-            return cyclic_group(Fraction(rho.a).denominator)
-        cols = rational_lattice_hnf([(Fraction(1), Fraction(0)), (rho.a, rho.b)])
-        lattice = (rho.d, tuple(cols))
-        rho_f = _display_rho(rho.d, cols)
-        return LabelGroup(kind="two_gen", rho=rho_f, lattice=lattice)
     rho_f = float(rho) % 1.0
     if rho_f == 0.0:
         return cyclic_group(1)
     return LabelGroup(kind="two_gen", rho=rho_f)
 
 
-def _display_rho(d: int, cols) -> float:
-    # Present the lattice as Z * 1 + Z * w: w generates the quotient by Z * 1,
-    # i.e. its sqrt(d)-coordinate is the gcd of the basis sqrt(d)-coordinates.
-    # Requires 1 to lie in the lattice (true for every group this package
-    # constructs); rho = w mod 1.
-    if len(cols) != 2:
-        raise ValueError("two-generator lattice expected")
-    y1, y2 = cols[0][1], cols[1][1]
-    denom = math.lcm(y1.denominator, y2.denominator)
-    n1, n2 = int(y1 * denom), int(y2 * denom)
-    g, a, b = _egcd(n1, n2)
-    w_rat = a * cols[0][0] + b * cols[1][0]
-    w_irr = a * y1 + b * y2
-    val = float(w_rat) + float(w_irr) * math.sqrt(d)
-    return val - math.floor(val)
+def field_group(poly, lam, generators) -> LabelGroup:
+    """Exact Z + rho Z spanned by elements of a real quadratic field Q(lam).
 
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _egcd(b, a % b)
-    return (g, y, x - (a // b) * y)
+    poly is lam's minimal polynomial (monic integer coefficients, highest
+    first), lam the real root meant (any sympy number), and each generator
+    the coordinates (c1, c0) of c1 lam + c0.  The span must meet Q in Z,
+    i.e. hold 1 as a primitive element; then it is Z + w Z for the first
+    basis vector w of its Hermite normal form, and rho = w mod 1.
+    """
+    basis = lattice_hnf(generators)
+    if len(basis) != 2 or basis[1] != (0, 1):
+        raise Unrecognized("1 is not primitive in the rank-2 frequency lattice",
+                           generators=basis)
+    (c1, c0), _ = basis
+    w = sympy.N(lam, 40) * sympy.Rational(c1) + sympy.Rational(c0)
+    return LabelGroup(kind="two_gen", rho=float(w % 1),
+                      lattice=(tuple(poly), tuple(basis)))
 
 
 def localized_group(scale: Fraction, prime: int) -> LabelGroup:
@@ -178,8 +137,8 @@ def group_for_family(family: str) -> LabelGroup:
     if family == "periodic":
         return two_gen_group(Fraction(1, 2))
     if family == "fibonacci":
-        # rho = 1/golden = (sqrt(5) - 1)/2
-        return two_gen_group(QuadExt(Fraction(-1, 2), Fraction(1, 2), 5))
+        # Z + (1/golden) Z, 1/golden = lambda - 1 for lambda^2 = lambda + 1
+        return field_group((1, -1, -1), sympy.GoldenRatio, [(0, 1), (1, -1)])
     if family in ("thue-morse", "period-doubling"):
         return localized_group(Fraction(1, 3), 2)
     if family == "rudin-shapiro":

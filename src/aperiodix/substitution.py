@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 import sympy
 
-from .errors import EmptyWord, LengthLimit, NotPrimitive
+from .errors import AperiodixError, EmptyWord, LengthLimit, NotPrimitive
+from .exactla import mat_mul
 
 DEFAULT_LENGTH_CAP = 10**7
 LENGTH_CAP_ENV = "APERIODIX_LENGTH_CAP"
@@ -74,12 +75,17 @@ class SubstitutionRule:
     @staticmethod
     def from_json(text: str) -> "SubstitutionRule":
         data = json.loads(text)
-        return SubstitutionRule(
-            alphabet=tuple(data["alphabet"]),
-            images=dict(data["images"]),
-            name=data.get("name", ""),
-            tiles=dict(data.get("tiles", {})),
-        )
+        try:
+            return SubstitutionRule(
+                alphabet=tuple(data["alphabet"]),
+                images=dict(data["images"]),
+                name=data.get("name", ""),
+                tiles=dict(data.get("tiles", {})),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise AperiodixError(
+                'a rule is a JSON object with "alphabet" and "images"'
+                f" ({type(exc).__name__}: {exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -154,20 +160,14 @@ def int_det(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def imat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n, m, p = len(a), len(b[0]), len(b)
-    return [[sum(a[i][k] * b[k][j] for k in range(p)) for j in range(m)]
-            for i in range(n)]
-
-
 def imat_pow(m: list[list[int]], n: int) -> list[list[int]]:
     size = len(m)
     result = [[int(i == j) for j in range(size)] for i in range(size)]
     base = [row[:] for row in m]
     while n > 0:
         if n & 1:
-            result = imat_mul(result, base)
-        base = imat_mul(base, base)
+            result = mat_mul(result, base)
+        base = mat_mul(base, base)
         n >>= 1
     return result
 
@@ -191,7 +191,7 @@ def is_primitive(m: OccurrenceMatrix) -> bool:
     for _ in range(size * size):
         if all(all(x > 0 for x in row) for row in power):
             return True
-        power = [[min(x, 1) for x in row] for row in imat_mul(power, reach)]
+        power = [[min(x, 1) for x in row] for row in mat_mul(power, reach)]
     return False
 
 
@@ -202,9 +202,22 @@ def char_poly(m: OccurrenceMatrix) -> sympy.Poly:
     return sympy.Poly(mat.charpoly(x).as_expr(), x)
 
 
-def exact_roots(poly: sympy.Poly):
-    """All roots with multiplicity as exact sympy numbers."""
-    return poly.all_roots(radicals=False)
+def perron_root(m: OccurrenceMatrix):
+    """(lambda1, f, moduli): the largest real root of the characteristic polynomial.
+
+    lambda1 is a 40-digit sympy Float, f its minimal polynomial (monic
+    integer coefficients, highest first) and moduli the moduli of the other
+    roots with multiplicity, largest first.  The polynomial is factored once
+    over Q and each irreducible factor's roots are found with nroots, which
+    does not converge at the repeated roots of an unfactored polynomial.
+    """
+    roots = []
+    for factor, mult in char_poly(m).factor_list()[1]:
+        coeffs = tuple(int(c) for c in factor.all_coeffs())
+        roots += [(r, coeffs) for r in factor.nroots(n=40)] * mult
+    lam, f = max(((r, f) for r, f in roots if r.is_real), key=lambda rf: rf[0])
+    moduli = sorted((abs(complex(r)) for r, _ in roots), reverse=True)[1:]
+    return lam, f, moduli
 
 
 def perron_data(m: OccurrenceMatrix) -> PerronData:
@@ -216,11 +229,8 @@ def perron_data(m: OccurrenceMatrix) -> PerronData:
     arr = m.array()
     # Exact Perron root and moduli from the integer characteristic polynomial;
     # numpy supplies the eigenvectors (residual-checked below).
-    roots = exact_roots(char_poly(m))
-    vals = [complex(sympy.N(r, 40)) for r in roots]
-    lam = max(v.real for v in vals if abs(v.imag) < 1e-25)
-    others = sorted((abs(v) for v in vals), reverse=True)
-    others.remove(max(others))
+    lam, _, others = perron_root(m)
+    lam = float(lam)
     lam2 = float(others[0]) if others else 0.0
     freq = _eigvec_for(arr, lam)
     lengths = _eigvec_for(arr.T, lam)
@@ -283,17 +293,9 @@ def pisot_flags(m: OccurrenceMatrix) -> tuple[bool, bool]:
     |lambda2| = sqrt(2)).  The second flag reports whether the full
     characteristic polynomial is irreducible over Q.
     """
-    poly = char_poly(m)
-    roots = exact_roots(poly)
-    prec = 40
-    vals = [complex(sympy.N(r, prec)) for r in roots]
-    lam1 = max(v.real for v in vals if abs(v.imag) < 1e-25)
-    others = sorted((abs(v) for v in vals), reverse=True)
-    others.remove(max(others))
-    pisot = lam1 > 1.0 and all(v < 1.0 - PISOT_MARGIN for v in others)
-    factors = sympy.factor_list(poly.as_expr())[1]
-    irreducible = len(factors) == 1 and factors[0][1] == 1
-    return pisot, irreducible
+    lam1, f, others = perron_root(m)
+    pisot = float(lam1) > 1.0 and all(v < 1.0 - PISOT_MARGIN for v in others)
+    return pisot, len(f) == m.size + 1
 
 
 def has_common_affix(rule: SubstitutionRule) -> bool:
@@ -367,6 +369,25 @@ def letter_statistics(word: str) -> tuple[dict[str, int], dict[str, float]]:
     n = len(word)
     freqs = {c: k / n for c, k in counts.items()}
     return counts, freqs
+
+
+def least_period(word: str, max_period: int) -> int | None:
+    """Least period of word if it is at most max_period, else None.
+
+    Each period p makes the head word[:max_period] recur at p, so the
+    candidates are the head's occurrences at 1..max_period, each confirmed
+    by one slice comparison.  Periodicity tests pass a word four times
+    longer than the window a period must show in, so that a long border of
+    the window alone (Sturmian and Thue-Morse-like words have them) is no
+    period.
+    """
+    head = word[:max_period]
+    p = word.find(head, 1, 2 * max_period)
+    while p != -1:
+        if word[p:] == word[:-p]:
+            return p
+        p = word.find(head, p + 1, 2 * max_period)
+    return None
 
 
 BUILTIN_RULES = {

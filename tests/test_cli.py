@@ -143,6 +143,24 @@ def test_computation_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("cohomology", "--rule-file", '{"alphabet": ["a", "b"]}'),
+    ("trace", "--rule-file", "[1, 2]"),
+    ("gaps", "--spectrum-file", "index,eigenvalue\n0 0.5\n"),
+    ("bloch", "--gaps-file", '{"gaps": [{"lower": 0.1}]}'),
+])
+def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    args = [command, flag, str(path)]
+    if flag != "--rule-file":
+        args += ["--family", "periodic"]
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aperiodix: error:")
+
+
 def test_generate_cut_project_golden(capsys):
     code, out, _ = run_cli(["generate", "--slope", "1/golden", "--count", "8"],
                            capsys)

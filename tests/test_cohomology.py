@@ -1,8 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from aperiodix.cohomology import (
     DirectLimitGroup,
@@ -13,12 +16,15 @@ from aperiodix.cohomology import (
     smith_normal_form,
     trace_image,
 )
+from aperiodix.errors import NoFixedPoint, Unrecognized
 from aperiodix.exactla import mat_mul
 from aperiodix.groups import contains, group_for_family
 from aperiodix.substitution import (
     SubstitutionRule,
     builtin_rule,
     int_det,
+    is_primitive,
+    occurrence_matrix,
     perron_data,
 )
 
@@ -181,6 +187,34 @@ def test_fixed_point_period_detection():
         assert fixed_point_period(builtin_rule(family)) is None
 
 
+def _kmp_least_period(word: str) -> int:
+    border = [0] * (len(word) + 1)
+    k = 0
+    for i in range(1, len(word)):
+        while k and word[i] != word[k]:
+            k = border[k]
+        if word[i] == word[k]:
+            k += 1
+        border[i + 1] = k
+    return len(word) - border[-1]
+
+
+def test_fixed_point_period_needs_a_longer_prefix():
+    # sigma^2(a) = (abba)^4, so every sigma^(2k)(a) is a fourth power: each
+    # window 16^k long has period 16^k / 4, which the next window breaks
+    rule = SubstitutionRule(("a", "b"), {"a": "bbbb", "b": "abba"})
+    word = "a"
+    while len(word) < 2**18:
+        word = "".join(rule.images[c] for c in word)
+        word = "".join(rule.images[c] for c in word)
+    word = word[:2**18]
+    window = word[:2**16]
+    assert window[2**14:] == window[:-2**14]
+    assert word[2**14:] != word[:-2**14]
+    assert _kmp_least_period(word) > 2**16
+    assert fixed_point_period(rule) is None
+
+
 # -- trace image (Table 1 values) ----------------------------------------------
 
 EXPECTED_TRACE_NAME = {
@@ -210,6 +244,51 @@ def test_custom_rule_without_cp_counterpart():
     h1 = cech_h1(rule)
     assert h1.recognized and (h1.free_rank, h1.localized) == (1, ((2, 1),))
     assert trace_image(rule).canonical_name == "Z[1/2]"
+
+
+def test_trace_refuses_lattice_without_primitive_one():
+    # lambda = 1 + sqrt(2): the frequency lattice is (1/2)Z + (sqrt(2)/4)Z,
+    # which holds the letter frequency 1/2 and is no Z + rho Z
+    rule = SubstitutionRule(("a", "b", "c"), {"a": "cbb", "b": "cba", "c": "b"})
+    freqs = perron_data(occurrence_matrix(rule)).freq
+    assert 0.5 in np.round(freqs, 12)
+    with pytest.raises(Unrecognized):
+        trace_image(rule)
+
+
+@st.composite
+def primitive_rules(draw):
+    alphabet = "abc"[:draw(st.integers(2, 3))]
+    images = {c: draw(st.text(alphabet, min_size=1, max_size=4)) for c in alphabet}
+    rule = SubstitutionRule(tuple(alphabet), images)
+    if not is_primitive(occurrence_matrix(rule)):
+        reject()
+    return rule
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(primitive_rules())
+def test_trace_image_holds_one_and_letter_frequencies(rule):
+    vals, vecs = np.linalg.eig(occurrence_matrix(rule).array())
+    k = int(np.argmax(vals.real))
+    lam = vals[k].real
+    freq = vecs[:, k].real / vecs[:, k].real.sum()
+    # a quadratic unit solves x^2 - t x + n = 0 with t an integer and n = +-1
+    quadratic_unit = abs(lam - round(lam)) > 1e-9 and any(
+        abs(lam + n / lam - round(lam + n / lam)) < 1e-9 for n in (1, -1))
+    try:
+        group = trace_image(rule)
+    except Unrecognized as exc:
+        assert not quadratic_unit or "not primitive" in str(exc)
+        return
+    except NoFixedPoint:
+        reject()
+    assert contains(1.0, group, tol=1e-9)
+    for f in freq:
+        assert contains(float(f), group, tol=1e-9)
+    if quadratic_unit:
+        assert group.kind == "two_gen"
 
 
 def test_tribonacci_h1_free_trace_unsupported():

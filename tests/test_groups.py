@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from aperiodix.errors import UnknownFamily
-from aperiodix.exactla import QuadExt
+from aperiodix.errors import UnknownFamily, Unrecognized
 from aperiodix.groups import (
     contains,
     cyclic_group,
+    field_group,
     group_for_family,
     localized_group,
     nearest_element,
@@ -105,8 +105,18 @@ def test_group_element_round_trip():
     assert 0.0 <= elem.reduced_mod_1 < 1.0
 
 
+GOLDEN_POLY = (1, -1, -1)  # tau^2 = tau + 1; coordinates (c1, c0) mean c1 tau + c0
+
+
 def test_exact_equality_via_lattices():
-    a = two_gen_group(QuadExt(Fraction(-1, 2), Fraction(1, 2), 5))
+    a = field_group(GOLDEN_POLY, GOLDEN, [(0, 1), (1, 0)])
     # same group generated differently: Z + tau Z equals Z + (tau - 1) Z
-    b = two_gen_group(QuadExt(Fraction(1, 2), Fraction(1, 2), 5))
+    b = field_group(GOLDEN_POLY, GOLDEN, [(0, 1), (1, -1)])
     assert a == b
+    assert a.canonical_name == "Z+rho*Z(rho=0.6180339887)"
+
+
+def test_field_group_needs_one_primitive():
+    # (1/2)Z + (tau/2)Z holds 1 = 2 * (1/2), which is not primitive there
+    with pytest.raises(Unrecognized):
+        field_group(GOLDEN_POLY, GOLDEN, [(0, Fraction(1, 2)), (Fraction(1, 2), 0)])
