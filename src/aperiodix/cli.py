@@ -247,9 +247,7 @@ def cmd_bloch(args) -> int:
     if args.svg:
         rule = builtin_rule(args.family)
         spec = contrast_spectrum(rule, 12, 0.05, 4 * math.pi, 1024)
-        word = rule.project(expand_word(rule, rule.alphabet[0],
-                                        report.spectral_order))
-        eigs = eigenvalues_tridiag(build_chain(word, OnsiteModel(0.0, 1.0)))
+        eigs = report.spectrum
         n = eigs.size
         top = [Series(tuple(float(k) for k in spec.k_values),
                       tuple(float(s) for s in spec.S))]

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .cohomology import trace_image
 from .diffraction import (
@@ -22,10 +24,12 @@ from .diffraction import (
 )
 from .groups import GroupElement, LabelGroup, nearest_element
 from .spectral import (
+    EnergySpectrum,
+    Gap,
     OnsiteModel,
+    _sturm_count,
     build_chain,
     bulk_gaps,
-    counting_function,
     eigenvalues_tridiag,
 )
 from .substitution import builtin_rule, expand_word, word_length
@@ -40,6 +44,7 @@ DEFAULT_SPECTRAL_ORDER = {
     "rudin-shapiro": 10,
 }
 DEFAULT_DIFFRACTION_ORDERS = (8, 10, 12, 14)
+HULL_WINDOWS = 16
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,8 @@ class CorrespondenceReport:
     spectral_order: int
     diffraction_orders: tuple[int, ...]
     tol: float
+    # the order-spectral_order chain's spectrum the gaps were found in
+    spectrum: EnergySpectrum = field(compare=False, repr=False)
 
 
 def bloch_report(family: str, spectral_order: int | None = None,
@@ -90,8 +97,9 @@ def bloch_report(family: str, spectral_order: int | None = None,
 
     trace = trace_image(rule)
 
+    spectrum, gaps = _hull_gaps(rule, order, model, rel_threshold)
     gap_labels = []
-    for gap in hull_averaged_gaps(rule, order, model, rel_threshold):
+    for gap in gaps:
         element, residual = nearest_element(gap.ids_value, trace, q_max=q_max,
                                             n_max=n_max)
         gap_labels.append(GapLabel(gap.ids_value, element, residual))
@@ -122,21 +130,27 @@ def bloch_report(family: str, spectral_order: int | None = None,
         spectral_order=order,
         diffraction_orders=orders,
         tol=tol,
+        spectrum=spectrum,
     )
 
 
 def hull_averaged_gaps(rule, order: int, model=None, rel_threshold: float = 10.0,
-                       windows: int = 16):
+                       windows: int = HULL_WINDOWS) -> list[Gap]:
     """Spectral gaps with counting values averaged over hull windows.
 
     A single free chain miscounts some gap labels by one state (boundary
     spectral flow), which matters at tolerances near 1/N.  Gap positions come
-    from the order-`order` chain; each gap's counting value is then averaged
-    over same-length windows cut from a longer expansion, where the +-1
-    boundary terms equidistribute and cancel.
+    from the full spectrum of the order-`order` chain; each gap's counting
+    value is then averaged over same-length windows cut from a longer
+    expansion, where the +-1 boundary terms equidistribute and cancel.  A
+    window's counting value at the gap midpoint is one Sturm count per gap,
+    so no window spectrum is solved.
     """
-    from .spectral import Gap
+    return _hull_gaps(rule, order, model, rel_threshold, windows)[1]
 
+
+def _hull_gaps(rule, order, model, rel_threshold, windows=HULL_WINDOWS):
+    """The base spectrum and the hull-averaged gaps found in it."""
     model = model if model is not None else OnsiteModel(0.0, 1.0)
     seed = rule.alphabet[0]
     word = rule.project(expand_word(rule, seed, order))
@@ -144,20 +158,27 @@ def hull_averaged_gaps(rule, order: int, model=None, rel_threshold: float = 10.0
     base = eigenvalues_tridiag(build_chain(word, model))
     gaps = bulk_gaps(base, rel_threshold)
     if not gaps:
-        return []
+        return base, []
     long_order = order
     while word_length(rule, seed, long_order) < 6 * n and long_order < order + 12:
         long_order += 1
     long_word = rule.project(expand_word(rule, seed, long_order))
     stride = max(1, (len(long_word) - n) // max(windows - 1, 1))
-    spectra = [eigenvalues_tridiag(build_chain(long_word[j * stride:j * stride + n], model))
-               for j in range(windows)]
-    refined = []
-    for gap in gaps:
-        mid = 0.5 * (gap.lower + gap.upper)
-        ids = sum(counting_function(s, mid) for s in spectra) / len(spectra)
-        refined.append(Gap(gap.lower, gap.upper, gap.width, ids))
-    return refined
+    # Sturm counts at twice each midpoint (the matrix eigenvalue of a halved
+    # energy) take the levels strictly below, a counting function those at or
+    # below: the two differ only for a window level on a midpoint.  Summing
+    # count/size window by window keeps the ids those of window spectra read
+    # by counting_function, to the last bit.
+    xs = np.array([gap.lower + gap.upper for gap in gaps])
+    fractions = []
+    for j in range(windows):
+        chain = build_chain(long_word[j * stride:j * stride + n], model)
+        counts = _sturm_count(chain.onsite, chain.hopping * chain.hopping, xs)
+        fractions.append([int(c) / chain.size for c in counts])
+    refined = [Gap(gap.lower, gap.upper, gap.width,
+                   sum(f[i] for f in fractions) / windows)
+               for i, gap in enumerate(gaps)]
+    return base, refined
 
 
 def _round15(x: float) -> float:

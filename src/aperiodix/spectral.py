@@ -5,7 +5,10 @@ The Hamiltonian acts as (H phi)_n = t_{n-1,n} phi_{n-1} + t_{n,n+1} phi_{n+1}
 so all reported energies are halved matrix eigenvalues.  The production
 solver is Sturm-sequence bisection (LDL pivot sign counts, vectorised over
 all eigenvalue indices at once); an independent characteristic-polynomial
-oracle covers small sizes for cross-checks.
+oracle covers small sizes for cross-checks.  Where only the integrated
+density of states at a few energies is needed, as for the hull-averaged gap
+labels in `report`, a Sturm count at those energies gives it without a full
+spectrum.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from aperiodix.cli import main as cli_main
 from aperiodix.cohomology import cech_h1, trace_image
@@ -21,7 +20,7 @@ from aperiodix.diffraction import (
     peak_scaling,
 )
 from aperiodix.groups import group_for_family, nearest_element
-from aperiodix.report import bloch_report, hull_averaged_gaps
+from aperiodix.report import hull_averaged_gaps
 from aperiodix.spectral import (
     OnsiteModel,
     HoppingModel,
@@ -41,11 +40,6 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 def _verdict(num: int, text: str, ok: bool):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, f"criterion {num}: {text}"
-
-
-@pytest.fixture(scope="module")
-def reports():
-    return {family: bloch_report(family) for family in FAMILIES}
 
 
 def test_criterion_01_table1_cohomology():

@@ -1,14 +1,54 @@
+import numpy as np
 import pytest
 
-from aperiodix.report import bloch_report, report_to_json
-from aperiodix.spectral import OnsiteModel
+from aperiodix.report import bloch_report, hull_averaged_gaps, report_to_json
+from aperiodix.spectral import (
+    HoppingModel,
+    OnsiteModel,
+    build_chain,
+    bulk_gaps,
+    counting_function,
+    eigenvalues_tridiag,
+)
+from aperiodix.substitution import builtin_rule, expand_word, word_length
+
+# all five families at order 8-10 (N <= 256), on-site and hopping models
+HULL_CASES = [
+    ("periodic", 8, OnsiteModel(0.0, 1.0)),
+    ("fibonacci", 8, OnsiteModel(0.0, 1.0)),
+    ("fibonacci", 10, OnsiteModel(0.0, 1.0)),
+    ("thue-morse", 8, OnsiteModel(0.0, 1.0)),
+    ("period-doubling", 8, OnsiteModel(0.0, 1.0)),
+    ("rudin-shapiro", 8, OnsiteModel(0.0, 1.0)),
+    ("fibonacci", 10, HoppingModel(0.0, 1.0, 1.0)),
+    ("thue-morse", 8, HoppingModel(0.0, 1.0, 1.0)),
+]
 
 
-@pytest.fixture(scope="module")
-def reports():
-    return {family: bloch_report(family)
-            for family in ("periodic", "fibonacci", "thue-morse",
-                           "period-doubling", "rudin-shapiro")}
+def _spectrum_hull_ids(rule, order, model, windows=16):
+    """Hull-averaged ids the spectrum way: every window's full spectrum, read
+    by the counting function (levels at or below) at each gap midpoint.
+    Also returns the same average taken over the levels strictly below."""
+    seed = rule.alphabet[0]
+    word = rule.project(expand_word(rule, seed, order))
+    n = len(word)
+    gaps = bulk_gaps(eigenvalues_tridiag(build_chain(word, model)))
+    long_order = order
+    while word_length(rule, seed, long_order) < 6 * n and long_order < order + 12:
+        long_order += 1
+    long_word = rule.project(expand_word(rule, seed, long_order))
+    stride = max(1, (len(long_word) - n) // (windows - 1))
+    solved = {}  # equal windows (periodic words) have equal spectra
+    for j in range(windows):
+        window = long_word[j * stride:j * stride + n]
+        if window not in solved:
+            solved[window] = eigenvalues_tridiag(build_chain(window, model))
+    spectra = [solved[long_word[j * stride:j * stride + n]] for j in range(windows)]
+    mids = [0.5 * (g.lower + g.upper) for g in gaps]
+    at_or_below = [sum(counting_function(s, m) for s in spectra) / windows for m in mids]
+    below = [sum(float(np.searchsorted(s.eigenvalues, m, side="left")) / s.size
+                 for s in spectra) / windows for m in mids]
+    return at_or_below, below
 
 
 def test_gaps_in_trace_group_all_families(reports):
@@ -64,3 +104,23 @@ def test_report_custom_model():
     assert report.gaps_in_trace_group
     assert len(report.gap_labels) == 1
     assert report.gap_labels[0].ids_value == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("family,order,model", HULL_CASES)
+def test_hull_counts_equal_window_spectra(family, order, model):
+    rule = builtin_rule(family)
+    at_or_below, below = _spectrum_hull_ids(rule, order, model)
+    assert at_or_below
+    # no window level sits on a midpoint, where "at or below" (a counting
+    # function) and "strictly below" (a Sturm count) would part
+    assert below == at_or_below
+    ids = [g.ids_value for g in hull_averaged_gaps(rule, order, model, 10.0)]
+    assert ids == at_or_below  # bit for bit
+
+
+def test_report_keeps_its_base_spectrum(reports):
+    report = reports["periodic"]
+    rule = builtin_rule("periodic")
+    word = rule.project(expand_word(rule, "a", report.spectral_order))
+    base = eigenvalues_tridiag(build_chain(word, OnsiteModel(0.0, 1.0)))
+    assert np.array_equal(report.spectrum.eigenvalues, base.eigenvalues)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aperiodix.errors import SizeLimit
 from aperiodix.spectral import (
@@ -110,6 +112,30 @@ def test_sturm_count_matches_counting_function():
         x = 2 * e + 1e-13
         count = int(_sturm_count(chain.onsite, b2, np.array([x]))[0])
         assert count == round(spec.size * counting_function(spec, e))
+
+
+@st.composite
+def chains_and_shifts(draw):
+    n = draw(st.integers(2, 60))
+    onsite = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    hopping = draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1))
+    xs = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
+    return TightBindingChain(np.array(onsite), np.array(hopping)), np.array(xs)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(chains_and_shifts())
+def test_sturm_count_equals_eigenvalue_count(chain_and_shifts):
+    chain, xs = chain_and_shifts
+    d, b = chain.onsite, chain.hopping
+    eigs = np.linalg.eigvalsh(np.diag(d) + np.diag(b, 1) + np.diag(b, -1))
+    # shifts on an eigenvalue (to rounding) have no well-defined count
+    assume(np.min(np.abs(eigs[:, None] - xs[None, :])) > 1e-9 * (1 + np.abs(eigs).max()))
+    counts = _sturm_count(d, b * b, xs)
+    assert list(counts) == [int(np.sum(eigs < x)) for x in xs]
+    if chain.size <= 12:
+        oracle = 2 * brute_force_eigs(chain).eigenvalues
+        assert list(counts) == [int(np.sum(oracle < x)) for x in xs]
 
 
 def test_shift_covariance():
