@@ -20,7 +20,14 @@ from .diffraction import contrast_spectrum, scaled_chain, structure_factor_grid
 from .errors import AperiodixError
 from .geometry import chain_from_rule, chain_to_csv
 from .groups import nearest_element
-from .report import bloch_report, hull_averaged_gaps, report_to_dict
+from .report import (
+    SCHEMA_VERSION,
+    bloch_report,
+    hull_averaged_gaps,
+    report_to_dict,
+    round15,
+    to_json,
+)
 from .spectral import HoppingModel, OnsiteModel, build_chain, eigenvalues_tridiag
 from .substitution import (
     FAMILY_NAMES,
@@ -30,15 +37,9 @@ from .substitution import (
 )
 from .svgplot import Series, emit_svg, render_svg
 
-SCHEMA = 1
-
 
 def fmt(x: float) -> str:
     return f"{x:.15g}"
-
-
-def round15(x: float) -> float:
-    return float(fmt(x))
 
 
 def _add_rule_args(parser: argparse.ArgumentParser):
@@ -75,11 +76,6 @@ def _write(text: str, path: str | None):
         sys.stdout.write(text)
 
 
-def _dump_json(data: dict, path: str | None):
-    _write(json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-           path)
-
-
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_generate(args) -> int:
@@ -90,14 +86,14 @@ def cmd_generate(args) -> int:
     word = expand_word(rule, seed, args.order)
     projected = rule.project(word)
     data = {
-        "schema": SCHEMA,
+        "schema": SCHEMA_VERSION,
         "rule": rule.name or "custom",
         "seed": seed,
         "order": args.order,
         "length": len(word),
         "word": projected,
     }
-    _dump_json(data, args.out)
+    _write(to_json(data), args.out)
     if args.chain_csv:
         chain = chain_from_rule(rule, args.order, seed=seed)
         _write(chain_to_csv(chain), args.chain_csv)
@@ -113,7 +109,7 @@ def _generate_cut_project(args) -> int:
     horizon = min(10000, max(64, 2 * args.count))
     periodicity = check_periodicity(params, horizon)
     data = {
-        "schema": SCHEMA,
+        "schema": SCHEMA_VERSION,
         "slope": args.slope,
         "phason": round15(params.phason),
         "n0": args.n0,
@@ -122,7 +118,7 @@ def _generate_cut_project(args) -> int:
         "periodic": periodicity["periodic"],
         "period": periodicity["period"],
     }
-    _dump_json(data, args.out)
+    _write(to_json(data), args.out)
     if args.chain_csv:
         chain = positions_from_word(word, {"a": 1.0, "b": 1.0})
         _write(chain_to_csv(chain), args.chain_csv)
@@ -195,34 +191,34 @@ def cmd_gaps(args) -> int:
                 "in_group": residual <= args.tol,
             },
         })
-    _dump_json({"schema": SCHEMA, "family": family or rule.name or "custom",
-                "group": group.canonical_name, "gaps": payload}, args.out)
+    _write(to_json({"schema": SCHEMA_VERSION, "family": family or rule.name or "custom",
+                    "group": group.canonical_name, "gaps": payload}), args.out)
     return 0
 
 
 def cmd_cohomology(args) -> int:
     rule = _resolve_rule(args)
     h1 = cech_h1(rule)
-    _dump_json({
-        "schema": SCHEMA,
+    _write(to_json({
+        "schema": SCHEMA_VERSION,
         "family": args.family or rule.name or "custom",
         "H1": h1.structure_name,
         "free_rank": h1.free_rank,
         "localized": [list(pair) for pair in h1.localized],
         "recognized": h1.recognized,
         "note": h1.note,
-    }, args.out)
+    }), args.out)
     return 0
 
 
 def cmd_trace(args) -> int:
     rule = _resolve_rule(args)
     group = trace_image(rule)
-    _dump_json({
-        "schema": SCHEMA,
+    _write(to_json({
+        "schema": SCHEMA_VERSION,
         "family": args.family or rule.name or "custom",
         "trace_group": group.canonical_name,
-    }, args.out)
+    }), args.out)
     return 0
 
 
@@ -243,10 +239,9 @@ def cmd_bloch(args) -> int:
     data = report_to_dict(report)
     if gaps_ids is not None:
         data["gaps_file_ids"] = gaps_ids
-    _dump_json(data, args.out)
+    _write(to_json(data), args.out)
     if args.svg:
-        rule = builtin_rule(args.family)
-        spec = contrast_spectrum(rule, 12, 0.05, 4 * math.pi, 1024)
+        spec = report.diffraction
         eigs = report.spectrum
         n = eigs.size
         top = [Series(tuple(float(k) for k in spec.k_values),

@@ -30,6 +30,7 @@ from .exactla import (
     frac_solve,
     lattice_hnf,
     mat_mul,
+    perron_vector,
     saturation,
     smith_normal_form,
     transpose,
@@ -38,6 +39,9 @@ from .groups import LabelGroup, field_group, localized_group, two_gen_group
 from .substitution import (
     OccurrenceMatrix,
     SubstitutionRule,
+    char_poly,
+    imat_pow,
+    int_det,
     least_period,
     occurrence_matrix,
     perron_root,
@@ -224,17 +228,14 @@ def direct_limit(a) -> DirectLimitGroup:
     abar, s = _quotient_by_eventual_kernel(a)
     if s == 0:
         return DirectLimitGroup(0, (), presentation, True, note="trivial limit")
-    from .substitution import int_det
-
     det = int_det(abar)
     if abs(det) == 1:
         return DirectLimitGroup(s, (), presentation, True)
 
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sympy.Matrix(abar).charpoly(x).as_expr(), x)
+    poly = char_poly(abar)
     blocks = []  # (kind, prime, lattice columns, dim)
     for factor, mult in sympy.factor_list(poly.as_expr())[1]:
-        fpoly = sympy.Poly(factor, x)
+        fpoly = sympy.Poly(factor, poly.gen)
         deg = fpoly.degree()
         const = int(fpoly.all_coeffs()[-1])
         lattice = _factor_block_lattice(abar, fpoly, mult)
@@ -271,10 +272,7 @@ def direct_limit(a) -> DirectLimitGroup:
 def _quotient_by_eventual_kernel(a) -> tuple[list[list[int]], int]:
     """Induced integer matrix on Z^n / sat(ker A^n), and its size."""
     n = len(a)
-    power = [row[:] for row in a]
-    for _ in range(n - 1):
-        power = mat_mul(power, a)
-    kernel = frac_kernel(power)
+    kernel = frac_kernel(imat_pow(a, n))
     if not kernel:
         return [row[:] for row in a], n
     k = len(kernel)
@@ -301,22 +299,16 @@ def _fraction_columns_to_int(vectors) -> list[list[int]]:
     """Fraction row-vectors -> integer matrix whose columns span the same space."""
     cols = []
     for vec in vectors:
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
+        denom = math.lcm(*(x.denominator for x in vec))
         cols.append([int(x * denom) for x in vec])
-    return [[col[i] for col in cols] for i in range(len(cols[0]))] if cols else []
+    return transpose(cols)
 
 
 def _factor_block_lattice(abar, fpoly, mult) -> list[list[int]]:
     """Saturated lattice of the rational kernel of f(A)^mult (columns)."""
     n = len(abar)
     coeffs = [int(c) for c in fpoly.all_coeffs()]
-    fa = _poly_of_matrix(coeffs, abar)
-    block = fa
-    for _ in range(mult - 1):
-        block = mat_mul(block, fa)
-    kernel = frac_kernel(block)
+    kernel = frac_kernel(imat_pow(_poly_of_matrix(coeffs, abar), mult))
     if not kernel:
         return [[] for _ in range(n)]
     return saturation(_fraction_columns_to_int(kernel))
@@ -466,32 +458,13 @@ def trace_image(rule: SubstitutionRule) -> LabelGroup:
         primes = sympy.factorint(-f[1])
         if len(primes) != 1:
             raise Unrecognized(f"composite inflation factor {-f[1]} unsupported")
-        [(scale,)] = lattice_hnf(_collared_frequencies(col, f))
+        [(scale,)] = lattice_hnf(perron_vector(col.matrix, f))
         return localized_group(scale, int(next(iter(primes))))
     if abs(f[2]) != 1:
         raise Unrecognized("quadratic inflation factor is not a unit")
-    freqs = _collared_frequencies(col, f)
+    freqs = perron_vector(col.matrix, f)
     # 1/lambda of a quadratic unit is an algebraic integer of degree 2, so
     # Z[1/lambda] = Z + Z/lambda: one multiplication closes the lattice
     divided = transpose(mat_mul(frac_inverse(companion(f)), transpose(freqs)))
     return field_group(f, lam, freqs + divided)
 
-
-def _collared_frequencies(col: CollaredAlphabet, f) -> list[list[Fraction]]:
-    """Exact Perron frequencies of the collared matrix, in Q(lambda1), sum 1.
-
-    n frequencies of d power-basis coordinates each: M v = lambda1 v reads
-    (M (x) I_d - I_n (x) C) v = 0 with C = companion(f), and sum_i v_i = 1
-    picks the one solution (the Perron eigenvalue of a primitive matrix is
-    simple).
-    """
-    c = companion(f)
-    n, d = col.size, len(c)
-    rows = [[col.matrix[i][j] * (k == m) - (i == j) * c[k][m]
-             for j in range(n) for m in range(d)] for i in range(n) for k in range(d)]
-    rows += [[int(k == m) for _ in range(n) for m in range(d)] for k in range(d)]
-    one = [0] * (n * d) + [int(k == d - 1) for k in range(d)]
-    v = frac_solve(rows, one)
-    if v is None:
-        raise Unrecognized("collared matrix has no Perron kernel vector")
-    return [v[i * d:(i + 1) * d] for i in range(n)]

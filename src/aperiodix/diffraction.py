@@ -18,7 +18,7 @@ at gamma = 1, the principal Thue-Morse peak at log2(3) - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +79,8 @@ class FourierModule:
 class SpectrumClassification:
     peaks: tuple[PeakScaling, ...]
     tags: frozenset[str]            # subset of {"PP", "SC", "AC"}
+    # the top order's contrast grid the peaks were picked from
+    spectrum: DiffractionSpectrum = field(compare=False, repr=False)
 
 
 def fourier_amplitude(chain: AtomChain, k: float) -> float:
@@ -91,8 +93,13 @@ def structure_factor_grid(chain: AtomChain, k_min: float, k_max: float,
     """S(k) = |G(k)|^2 / N on a uniform grid."""
     if samples < 2 or not k_min < k_max:
         raise ValueError("need samples >= 2 and k_min < k_max")
+    return _grid_spectrum(chain, None, k_min, k_max, samples)
+
+
+def _grid_spectrum(chain: AtomChain, weights, k_min: float, k_max: float,
+                   samples: int) -> DiffractionSpectrum:
     ks = np.linspace(k_min, k_max, samples)
-    amps = _grid_amplitudes(chain.positions, None, ks)
+    amps = _grid_amplitudes(chain.positions, weights, ks)
     return DiffractionSpectrum(ks, amps**2 / chain.n_atoms, chain.n_atoms,
                                chain.total_length)
 
@@ -100,8 +107,11 @@ def structure_factor_grid(chain: AtomChain, k_min: float, k_max: float,
 def _grid_amplitudes(positions: np.ndarray, weights, ks: np.ndarray) -> np.ndarray:
     """|sum w_n exp(-i k x_n)| for every k, chunked to bound memory.
 
-    The chunk size depends only on the atom count, so the pairwise reduction
-    tree (and hence the result, bit for bit) is independent of threading.
+    numpy reduces axis 0 of a block two or more columns wide row by row, so
+    each k's sum runs over the atoms in order; a one-column last chunk is
+    summed pairwise instead.  The chunks depend only on the atom count and
+    the grid length, and the reduction uses no threads, so the result is
+    the same bit for bit on every run.
     """
     n = len(positions)
     chunk = max(8, min(len(ks), (1 << 22) // max(n, 1)))
@@ -133,11 +143,13 @@ def scaled_chain(rule: SubstitutionRule, order: int) -> AtomChain:
 
 def contrast_spectrum(rule: SubstitutionRule, order: int, k_min: float,
                       k_max: float, samples: int) -> DiffractionSpectrum:
+    return _grid_spectrum(*_contrast_chain(rule, order), k_min, k_max, samples)
+
+
+def _contrast_chain(rule: SubstitutionRule, order: int):
+    """The scaled chain of one order with its contrast weights."""
     chain = scaled_chain(rule, order)
-    ks = np.linspace(k_min, k_max, samples)
-    amps = _grid_amplitudes(chain.positions, contrast_weights(chain), ks)
-    return DiffractionSpectrum(ks, amps**2 / chain.n_atoms, chain.n_atoms,
-                               chain.total_length)
+    return chain, contrast_weights(chain)
 
 
 # -- peak scaling --------------------------------------------------------------
@@ -172,6 +184,13 @@ def peak_scaling(rule: SubstitutionRule, k_star: float, orders,
     singular continuous gamma in [0.2, 0.95).
     """
     orders = tuple(orders)
+    chains = {order: _contrast_chain(rule, order) for order in set(orders)}
+    return _peak_scaling(chains, orders, k_star, refine_halfwidth)
+
+
+def _peak_scaling(chains, orders: tuple[int, ...], k_star: float,
+                  refine_halfwidth: float) -> PeakScaling:
+    """peak_scaling on chains built beforehand: order -> (chain, weights)."""
     if len(orders) < 4:
         raise ValueError("need at least 4 orders for a scaling fit")
     amplitudes = []
@@ -179,8 +198,7 @@ def peak_scaling(rule: SubstitutionRule, k_star: float, orders,
     atoms = []
     k_refined = k_star
     for order in orders:
-        chain = scaled_chain(rule, order)
-        w = contrast_weights(chain)
+        chain, w = chains[order]
         x = chain.positions
 
         def amp(k):
@@ -214,12 +232,13 @@ def classify_spectrum(rule: SubstitutionRule, orders, k_min: float = 0.05,
     Maxima of the contrast structure factor at the largest order qualify as
     peaks when they rise a fixed factor above the mean grid level (flat
     backgrounds never qualify); each peak is then scaled across the orders.
+    Each order's chain is built once and serves the grid and every peak.
     Tags: PP if any Bragg peak, SC if any singular-continuous one, AC when
     nothing qualifies at all.
     """
     orders = tuple(orders)
-    top = max(orders)
-    spectrum = contrast_spectrum(rule, top, k_min, k_max, samples)
+    chains = {order: _contrast_chain(rule, order) for order in set(orders)}
+    spectrum = _grid_spectrum(*chains[max(orders)], k_min, k_max, samples)
     ks, svals = spectrum.k_values, spectrum.S
     mean_level = float(svals.mean())
     candidates = []
@@ -235,8 +254,8 @@ def classify_spectrum(rule: SubstitutionRule, orders, k_min: float = 0.05,
             chosen.append(i)
         if len(chosen) == max_peaks:
             break
-    peaks = tuple(peak_scaling(rule, float(ks[i]), orders,
-                               refine_halfwidth=cell / 2) for i in chosen)
+    peaks = tuple(_peak_scaling(chains, orders, float(ks[i]), cell / 2)
+                  for i in chosen)
     tags = set()
     for peak in peaks:
         if peak.classification == "Bragg":
@@ -245,7 +264,7 @@ def classify_spectrum(rule: SubstitutionRule, orders, k_min: float = 0.05,
             tags.add("SC")
     if not tags:
         tags = {"AC"}
-    return SpectrumClassification(peaks, frozenset(tags))
+    return SpectrumClassification(peaks, frozenset(tags), spectrum)
 
 
 # -- predicted Bragg modules ---------------------------------------------------

@@ -6,13 +6,18 @@ element of a number field Q(lambda) of degree d is a rational vector of its
 coordinates in the power basis lambda^(d-1), ..., lambda, 1 (highest power
 first, like a coefficient list); multiplication by lambda is the companion
 matrix of lambda's minimal polynomial, and a finitely generated subgroup is
-the Hermite normal form of its generators (lattice_hnf).
+the Hermite normal form of its generators (lattice_hnf).  The Perron
+eigenvectors of a primitive integer matrix have entries in Q(lambda1), so
+perron_vector finds them exactly; letter frequencies, tile lengths and the
+collared patch frequencies of the trace image all come from it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .errors import Unrecognized
 
 IntMatrix = list[list[int]]
 
@@ -276,3 +281,24 @@ def lattice_hnf(vectors) -> list[tuple[Fraction, ...]]:
     columns = transpose([[int(x * denom) for x in v] for v in vectors])
     return [tuple(Fraction(x, denom) for x in col)
             for col in transpose(hermite_column_form(columns))]
+
+
+def perron_vector(matrix, poly) -> list[list[Fraction]]:
+    """Exact Perron eigenvector of a primitive integer matrix, entries sum 1.
+
+    poly is the minimal polynomial f of the Perron root lambda1 (companion
+    layout); each of the n entries comes back as its d power-basis
+    coordinates.  M v = lambda1 v reads (M (x) I_d - I_n (x) C) v = 0 with
+    C = companion(f), and sum_i v_i = 1 picks the one solution (the Perron
+    eigenvalue of a primitive matrix is simple).
+    """
+    c = companion(poly)
+    n, d = len(matrix), len(c)
+    rows = [[matrix[i][j] * (k == m) - (i == j) * c[k][m]
+             for j in range(n) for m in range(d)] for i in range(n) for k in range(d)]
+    rows += [[int(k == m) for _ in range(n) for m in range(d)] for k in range(d)]
+    one = [0] * (n * d) + [int(k == d - 1) for k in range(d)]
+    v = frac_solve(rows, one)
+    if v is None:
+        raise Unrecognized("matrix has no Perron kernel vector")
+    return [v[i * d:(i + 1) * d] for i in range(n)]

@@ -18,6 +18,7 @@ import numpy as np
 
 from .cohomology import trace_image
 from .diffraction import (
+    DiffractionSpectrum,
     classify_spectrum,
     module_distance,
     module_for_family,
@@ -76,6 +77,8 @@ class CorrespondenceReport:
     tol: float
     # the order-spectral_order chain's spectrum the gaps were found in
     spectrum: EnergySpectrum = field(compare=False, repr=False)
+    # the top diffraction order's contrast grid the peaks were picked from
+    diffraction: DiffractionSpectrum = field(compare=False, repr=False)
 
 
 def bloch_report(family: str, spectral_order: int | None = None,
@@ -131,6 +134,7 @@ def bloch_report(family: str, spectral_order: int | None = None,
         diffraction_orders=orders,
         tol=tol,
         spectrum=spectrum,
+        diffraction=classification.spectrum,
     )
 
 
@@ -181,7 +185,8 @@ def _hull_gaps(rule, order, model, rel_threshold, windows=HULL_WINDOWS):
     return base, refined
 
 
-def _round15(x: float) -> float:
+def round15(x: float) -> float:
+    """x rounded to the 15 significant digits every output carries."""
     return float(f"{x:.15g}")
 
 
@@ -192,21 +197,21 @@ def report_to_dict(report: CorrespondenceReport) -> dict:
         "trace_group": report.trace_group.canonical_name,
         "spectral_order": report.spectral_order,
         "diffraction_orders": list(report.diffraction_orders),
-        "tolerance": _round15(report.tol),
+        "tolerance": round15(report.tol),
         "gap_labels": [
             {
-                "ids": _round15(g.ids_value),
+                "ids": round15(g.ids_value),
                 "coordinates": list(g.element.coordinates),
-                "value": _round15(g.element.value),
-                "residual": _round15(g.residual),
+                "value": round15(g.element.value),
+                "residual": round15(g.residual),
             }
             for g in report.gap_labels
         ],
         "bragg_checks": [
             {
-                "k": _round15(c.k),
+                "k": round15(c.k),
                 "classification": c.classification,
-                "module_residual": _round15(c.module_residual) if math.isfinite(c.module_residual) else None,
+                "module_residual": round15(c.module_residual) if math.isfinite(c.module_residual) else None,
             }
             for c in report.bragg_checks
         ],
@@ -219,6 +224,6 @@ def report_to_dict(report: CorrespondenceReport) -> dict:
     }
 
 
-def report_to_json(report: CorrespondenceReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2,
-                      ensure_ascii=False) + "\n"
+def to_json(data: dict) -> str:
+    """The byte-deterministic JSON text of every document the package writes."""
+    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

@@ -13,13 +13,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 import sympy
 
 from .errors import AperiodixError, EmptyWord, LengthLimit, NotPrimitive
-from .exactla import mat_mul
+from .exactla import mat_mul, perron_vector, transpose
 
 DEFAULT_LENGTH_CAP = 10**7
 LENGTH_CAP_ENV = "APERIODIX_LENGTH_CAP"
@@ -55,9 +56,6 @@ class SubstitutionRule:
                 raise ValueError(f"image of {letter!r} uses foreign letters")
         if self.tiles and set(self.tiles) != letters:
             raise ValueError("tile projection must cover the alphabet")
-
-    def tile_of(self, letter: str) -> str:
-        return self.tiles.get(letter, letter) if self.tiles else letter
 
     def project(self, word: str) -> str:
         """Project a word over the full alphabet onto the two-tile alphabet."""
@@ -116,10 +114,12 @@ class OccurrenceMatrix:
 
 @dataclass(frozen=True)
 class PerronData:
-    """Perron-Frobenius data of a primitive occurrence matrix.
+    """Perron-Frobenius data of a primitive occurrence matrix, as floats.
 
     freq solves M freq = lambda1 freq (letter frequencies, sum 1); lengths
     solves lengths M = lambda1 lengths (tile lengths, min entry scaled to 1).
+    Both are solved exactly in Q(lambda1) and rounded once, so tiles of
+    equal length come out exactly equal.
     """
 
     lambda1: float
@@ -195,10 +195,10 @@ def is_primitive(m: OccurrenceMatrix) -> bool:
     return False
 
 
-def char_poly(m: OccurrenceMatrix) -> sympy.Poly:
-    """Exact integer characteristic polynomial."""
+def char_poly(entries) -> sympy.Poly:
+    """Exact characteristic polynomial, in x, of a square integer matrix."""
     x = sympy.Symbol("x")
-    mat = sympy.Matrix([list(row) for row in m.entries])
+    mat = sympy.Matrix([list(row) for row in entries])
     return sympy.Poly(mat.charpoly(x).as_expr(), x)
 
 
@@ -212,7 +212,7 @@ def perron_root(m: OccurrenceMatrix):
     does not converge at the repeated roots of an unfactored polynomial.
     """
     roots = []
-    for factor, mult in char_poly(m).factor_list()[1]:
+    for factor, mult in char_poly(m.entries).factor_list()[1]:
         coeffs = tuple(int(c) for c in factor.all_coeffs())
         roots += [(r, coeffs) for r in factor.nroots(n=40)] * mult
     lam, f = max(((r, f) for r, f in roots if r.is_real), key=lambda rf: rf[0])
@@ -221,58 +221,33 @@ def perron_root(m: OccurrenceMatrix):
 
 
 def perron_data(m: OccurrenceMatrix) -> PerronData:
-    """Perron eigenvalue and eigenvectors of a primitive occurrence matrix."""
+    """Perron eigenvalue and eigenvectors of a primitive occurrence matrix.
+
+    Frequencies and lengths are exactly the Perron vectors of M and M^T in
+    power-basis coordinates of Q(lambda1) (exactla.perron_vector).  They are
+    evaluated exactly at a Fraction of the 40-digit root and rounded to
+    floats once, after the lengths are divided by their minimum; the float
+    residuals are then checked against M.
+    """
     if not is_primitive(m):
         raise NotPrimitive(f"no power up to {m.size}^2 is strictly positive")
-    if m.size == 2:
-        return _perron_2x2(m)
-    arr = m.array()
-    # Exact Perron root and moduli from the integer characteristic polynomial;
-    # numpy supplies the eigenvectors (residual-checked below).
-    lam, _, others = perron_root(m)
+    lam, f, others = perron_root(m)
+    root = Fraction(str(lam))
+    freq = _values_at(perron_vector(m.entries, f), root)
+    lengths = _values_at(perron_vector(transpose(m.entries), f), root)
+    shortest = min(lengths)
+    freq = np.array([float(x) for x in freq])
+    lengths = np.array([float(x / shortest) for x in lengths])
     lam = float(lam)
     lam2 = float(others[0]) if others else 0.0
-    freq = _eigvec_for(arr, lam)
-    lengths = _eigvec_for(arr.T, lam)
-    freq = freq / freq.sum()
-    lengths = lengths / lengths.min()
-    _validate_perron(arr, lam, freq, lengths)
+    _validate_perron(m.array(), lam, freq, lengths)
     beta = math.log(lam2) / math.log(lam) if lam2 > 0 else math.nan
     return PerronData(lam, lam2, freq, lengths, beta)
 
 
-def _perron_2x2(m: OccurrenceMatrix) -> PerronData:
-    # Dictionary to the classic 2x2 parametrisation: sigma(a) = a^alpha b^beta,
-    # sigma(b) = a^gamma b^delta.  With the count orientation used here that is
-    # alpha = M[0][0], beta = M[1][0], gamma = M[0][1], delta = M[1][1].
-    alpha, gamma = m.entries[0]
-    beta_, delta = m.entries[1]
-    t = alpha + delta
-    p = alpha * delta - beta_ * gamma
-    disc = t * t - 4 * p
-    lam = (t + math.sqrt(disc)) / 2.0
-    lam2 = abs((t - math.sqrt(disc)) / 2.0)
-    rho_a = gamma / (lam + gamma - alpha)
-    rho_b = beta_ / (lam + beta_ - delta)
-    freq = np.array([rho_a, rho_b])
-    # lengths solve lengths . M = lam lengths, ratio d_a/d_b = beta/(lam - alpha)
-    d_a, d_b = beta_, lam - alpha
-    if d_b == 0:
-        d_a, d_b = lam - delta, gamma
-    lengths = np.array([d_a, d_b], dtype=float)
-    lengths = lengths / lengths.min()
-    _validate_perron(m.array(), lam, freq, lengths)
-    beta_exp = math.log(lam2) / math.log(lam) if lam2 > 0 else math.nan
-    return PerronData(lam, lam2, freq, lengths, beta_exp)
-
-
-def _eigvec_for(arr: np.ndarray, lam: float) -> np.ndarray:
-    eigs, vecs = np.linalg.eig(arr)
-    k = int(np.argmin(np.abs(eigs - lam)))
-    v = vecs[:, k].real
-    if v.sum() < 0:
-        v = -v
-    return v
+def _values_at(coords, root: Fraction) -> list[Fraction]:
+    """Power-basis coordinates (highest power first) evaluated at a rational root."""
+    return [sum(c * root**p for p, c in enumerate(reversed(v))) for v in coords]
 
 
 def _validate_perron(arr, lam, freq, lengths):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aperiodix import diffraction
 from aperiodix.diffraction import (
     classify_spectrum,
     contrast_spectrum,
@@ -146,6 +147,35 @@ def test_classify_period_doubling_dyadic_bragg():
     module = module_for_family("period-doubling")
     for p in cls.peaks:
         assert module_distance(p.k_star, module, k_max=4 * math.pi) < 2e-2
+
+
+@pytest.mark.parametrize("family,orders", [("fibonacci", (8, 10, 12, 14)),
+                                           ("period-doubling", (6, 7, 8, 9))])
+def test_classify_peaks_equal_peak_scaling(family, orders):
+    # the shared chains give each peak what peak_scaling gives it alone
+    rule = builtin_rule(family)
+    cls = classify_spectrum(rule, orders)
+    grid = contrast_spectrum(rule, max(orders), 0.05, 4 * math.pi, 2048)
+    assert np.array_equal(cls.spectrum.S, grid.S)
+    cell = (4 * math.pi - 0.05) / 2047
+    assert cls.peaks
+    for peak in cls.peaks:
+        k_grid = grid.k_values[np.argmin(np.abs(grid.k_values - peak.k_star))]
+        assert peak_scaling(rule, float(k_grid), orders,
+                            refine_halfwidth=cell / 2) == peak  # bit for bit
+
+
+def test_classify_builds_each_chain_once(monkeypatch):
+    built = []
+
+    def counting_scaled_chain(rule, order):
+        built.append(order)
+        return scaled_chain(rule, order)
+
+    monkeypatch.setattr(diffraction, "scaled_chain", counting_scaled_chain)
+    cls = classify_spectrum(builtin_rule("fibonacci"), orders=(8, 9, 10, 11))
+    assert len(cls.peaks) > 1
+    assert sorted(built) == [8, 9, 10, 11]
 
 
 def test_predicted_bragg_fibonacci():

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from aperiodix.report import bloch_report, hull_averaged_gaps, report_to_json
+from aperiodix.diffraction import contrast_spectrum
+from aperiodix.report import bloch_report, hull_averaged_gaps, report_to_dict, to_json
 from aperiodix.spectral import (
     HoppingModel,
     OnsiteModel,
@@ -93,8 +96,8 @@ def test_gap_tolerance_monotone(reports):
 
 
 def test_report_deterministic():
-    a = report_to_json(bloch_report("periodic"))
-    b = report_to_json(bloch_report("periodic"))
+    a = to_json(report_to_dict(bloch_report("periodic")))
+    b = to_json(report_to_dict(bloch_report("periodic")))
     assert a == b
     assert '"schema": 1' in a
 
@@ -124,3 +127,8 @@ def test_report_keeps_its_base_spectrum(reports):
     word = rule.project(expand_word(rule, "a", report.spectral_order))
     base = eigenvalues_tridiag(build_chain(word, OnsiteModel(0.0, 1.0)))
     assert np.array_equal(report.spectrum.eigenvalues, base.eigenvalues)
+    # and the contrast grid classify_spectrum picked the peaks from
+    grid = contrast_spectrum(rule, max(report.diffraction_orders), 0.05,
+                             4 * math.pi, 2048)
+    assert np.array_equal(report.diffraction.k_values, grid.k_values)
+    assert np.array_equal(report.diffraction.S, grid.S)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from aperiodix.errors import EmptyWord, LengthLimit, NotPrimitive
 from aperiodix.substitution import (
@@ -13,6 +15,7 @@ from aperiodix.substitution import (
     classify_substitution,
     expand_word,
     imat_pow,
+    is_primitive,
     letter_statistics,
     occurrence_matrix,
     perron_data,
@@ -53,6 +56,41 @@ def test_perron_fibonacci_closed_form():
     assert pd.freq[1] == pytest.approx(1 - 1 / GOLDEN, abs=1e-12)
     assert pd.lengths[1] == 1.0
     assert pd.lengths[0] == pytest.approx(GOLDEN, abs=1e-12)
+
+
+def test_perron_data_is_exact():
+    # equal tiles come out equal, and the golden tile correctly rounded
+    rs = perron_data(occurrence_matrix(builtin_rule("rudin-shapiro")))
+    assert rs.lengths.tolist() == [1.0, 1.0, 1.0, 1.0]
+    fib = perron_data(occurrence_matrix(builtin_rule("fibonacci")))
+    assert fib.lengths[0] == (1 + math.sqrt(5)) / 2
+
+
+@st.composite
+def primitive_matrices(draw):
+    alphabet = "abcd"[:draw(st.integers(2, 4))]
+    images = {c: draw(st.text(alphabet, min_size=1, max_size=4)) for c in alphabet}
+    m = occurrence_matrix(SubstitutionRule(tuple(alphabet), images))
+    if not is_primitive(m):
+        reject()
+    return m
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(primitive_matrices())
+def test_perron_data_agrees_with_numpy_eig(m):
+    pd = perron_data(m)
+    arr = m.array()
+    vals, vecs = np.linalg.eig(arr)
+    k = int(np.argmax(vals.real))
+    freq = vecs[:, k].real / vecs[:, k].real.sum()
+    vals_t, vecs_t = np.linalg.eig(arr.T)
+    lengths = np.abs(vecs_t[:, int(np.argmax(vals_t.real))].real)  # one sign
+    lengths = lengths / lengths.min()
+    assert abs(pd.lambda1 - vals[k].real) <= 1e-12 * pd.lambda1
+    assert np.max(np.abs(pd.freq - freq)) <= 1e-12
+    assert np.max(np.abs(pd.lengths - lengths) / lengths) <= 1e-12
 
 
 def test_perron_thue_morse():
