@@ -110,7 +110,8 @@ def bloch_report(family: str, spectral_order: int | None = None,
 
     classification = classify_spectrum(rule, orders)
     module = module_for_family(family)
-    k_cell = (4 * math.pi - 0.05) / 2047  # grid resolution of classify_spectrum
+    ks = classification.spectrum.k_values
+    k_cell = (ks[-1] - ks[0]) / (len(ks) - 1)
     checks = []
     for peak in classification.peaks:
         dist = module_distance(peak.k_star, module, k_max=4 * math.pi + 1.0,

@@ -148,11 +148,16 @@ def test_computation_error_exit_code(tmp_path, capsys):
     ("trace", "--rule-file", "[1, 2]"),
     ("gaps", "--spectrum-file", "index,eigenvalue\n0 0.5\n"),
     ("bloch", "--gaps-file", '{"gaps": [{"lower": 0.1}]}'),
+    ("diffract --contrast", "--samples", "0"),
+    ("diffract --contrast --kmax 1", "--kmin", "3"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, text):
-    path = tmp_path / "input"
-    path.write_text(text, encoding="utf-8")
-    args = [command, flag, str(path)]
+    # flags ending in -file read the text from a file, the others take it as is
+    args = [*command.split(), flag, text]
+    if flag.endswith("-file"):
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        args[-1] = str(path)
     if flag != "--rule-file":
         args += ["--family", "periodic"]
     code, _, err = run_cli(args, capsys)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from aperiodix import diffraction
 from aperiodix.diffraction import (
@@ -17,7 +19,12 @@ from aperiodix.diffraction import (
     structure_factor_grid,
 )
 from aperiodix.geometry import AtomChain, positions_from_word
-from aperiodix.substitution import builtin_rule
+from aperiodix.substitution import (
+    SubstitutionRule,
+    builtin_rule,
+    is_primitive,
+    occurrence_matrix,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 TWO_PI = 2 * math.pi
@@ -176,6 +183,53 @@ def test_classify_builds_each_chain_once(monkeypatch):
     cls = classify_spectrum(builtin_rule("fibonacci"), orders=(8, 9, 10, 11))
     assert len(cls.peaks) > 1
     assert sorted(built) == [8, 9, 10, 11]
+
+
+def direct_amplitudes(positions, weights, ks):
+    """The oracle: |sum_n w_n exp(-i k x_n)| over every atom, no factorisation."""
+    return np.abs((weights[None, :] * np.exp(-1j * np.outer(ks, positions))).sum(axis=1))
+
+
+@st.composite
+def primitive_rules(draw):
+    alphabet = "abcd"[:draw(st.integers(2, 4))]
+    images = {c: draw(st.text(alphabet, min_size=1, max_size=4)) for c in alphabet}
+    tiles = {}
+    if draw(st.booleans()):
+        tiles = {c: draw(st.sampled_from("ab")) for c in alphabet}
+    rule = SubstitutionRule(tuple(alphabet), images, tiles=tiles)
+    if not is_primitive(occurrence_matrix(rule)):
+        reject()
+    return rule
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(primitive_rules(), st.integers(0, 6))
+def test_supertile_amplitude_equals_direct_sum(rule, order):
+    # orders 0 and 1 have m = 0; order 0 has the one-letter coarse word
+    chain = scaled_chain(rule, order)
+    ks = np.linspace(0.0, 4 * math.pi, 129)
+    for weights in (contrast_weights(chain), None):   # contrast and plain
+        amp = diffraction._supertile_amplitude(rule, order, chain.positions, weights)
+        s_fact = amp(ks) ** 2 / chain.n_atoms
+        direct = direct_amplitudes(
+            chain.positions, np.ones(chain.n_atoms) if weights is None else weights, ks)
+        s_direct = direct ** 2 / chain.n_atoms
+        assert np.max(np.abs(s_fact - s_direct)) <= 1e-9 * s_direct.max()
+
+
+@pytest.mark.parametrize("family,order", [
+    ("periodic", 14), ("fibonacci", 20), ("thue-morse", 14),
+    ("period-doubling", 14), ("rudin-shapiro", 14)])
+def test_contrast_amplitude_equals_whole_chain_sum(family, order):
+    # the diffraction benchmark's orders; the whole-chain sum is the oracle
+    chain, amp = diffraction._contrast_chain(builtin_rule(family), order)
+    ks = np.linspace(0.05, 4 * math.pi, 512)
+    s_fact = amp(ks) ** 2 / chain.n_atoms
+    whole = diffraction._grid_amplitudes(chain.positions, contrast_weights(chain), ks)
+    s_direct = np.abs(whole) ** 2 / chain.n_atoms
+    assert np.max(np.abs(s_fact - s_direct)) <= 1e-9 * s_direct.max()
 
 
 def test_predicted_bragg_fibonacci():
