@@ -12,13 +12,10 @@ from .cohomology import (
 from .cutproject import CPParams, check_periodicity, chi, cp_word
 from .diffraction import (
     DiffractionSpectrum,
-    FourierModule,
     PeakScaling,
     classify_spectrum,
     fourier_amplitude,
-    module_for_family,
     peak_scaling,
-    predicted_bragg,
     structure_factor_grid,
 )
 from .geometry import (
@@ -32,10 +29,9 @@ from .groups import (
     GroupElement,
     LabelGroup,
     contains,
-    group_for_family,
     nearest_element,
 )
-from .report import CorrespondenceReport, bloch_report
+from .report import CorrespondenceReport, bloch_report, module_for_family
 from .spectral import (
     EnergySpectrum,
     Gap,

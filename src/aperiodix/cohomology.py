@@ -45,6 +45,7 @@ from .substitution import (
     least_period,
     occurrence_matrix,
     perron_root,
+    require_primitive,
 )
 
 FIXED_POINT_PREFIX = 2**18
@@ -376,6 +377,7 @@ def cech_h1(rule: SubstitutionRule, radius: int | None = None) -> DirectLimitGro
     fails its consistency checks) and the direct limit of the substitution
     action on H^1 of the complex is returned.
     """
+    require_primitive(occurrence_matrix(rule))
     period = fixed_point_period(rule)
     if period is not None:
         return DirectLimitGroup(1, (), ((1,),), True,
@@ -447,10 +449,11 @@ def trace_image(rule: SubstitutionRule) -> LabelGroup:
     lattice recognised as Z + rho Z; for an integer prime power
     lambda1 = p^j it is a Z[1/p] scaled by the frequencies' gcd.
     """
+    m = require_primitive(occurrence_matrix(rule))
     period = fixed_point_period(rule)
     if period is not None:
         return two_gen_group(Fraction(1, period))
-    lam, f, _ = perron_root(occurrence_matrix(rule))
+    lam, f, _ = perron_root(m)
     if len(f) > 3:
         raise Unrecognized("Perron root is neither rational nor quadratic")
     col = collar(rule, 1)

@@ -31,8 +31,10 @@ def parse_slope(text: str) -> tuple[Fraction, bool]:
     if text == "1/golden":
         return golden_conjugate_slope(), False
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den)), True
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"slope {text!r} has a zero denominator")
+        return Fraction(num, den), True
     return Fraction(text), True
 
 

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .geometry import AtomChain, chain_from_rule
+from .groups import DEFAULT_N_MAX, DEFAULT_Q_MAX, LabelGroup, nearest_element
 from .substitution import SubstitutionRule, expand_word, word_length
 
 TWO_PI = 2 * math.pi
-GOLDEN = (1 + math.sqrt(5)) / 2
 
 BRAGG_GAMMA = 0.95
 SC_GAMMA = 0.2
@@ -57,29 +56,6 @@ class PeakScaling:
     lengths: tuple[float, ...]
     gamma: float
     classification: str             # Bragg | SingularContinuous | Flat
-
-
-@dataclass(frozen=True)
-class FourierModule:
-    """Predicted support of Bragg peaks, as multiples of 2 pi."""
-
-    kind: str  # comb | two_gen | dyadic | odd_dyadic | continuous
-    q: int = 1
-    rho: float = 0.0
-    scale: Fraction = Fraction(1)
-
-    @property
-    def description(self) -> str:
-        if self.kind == "comb":
-            return f"2pi/{self.q} Z" if self.q != 1 else "2pi Z"
-        if self.kind == "two_gen":
-            return f"2pi (Z + rho Z), rho={self.rho:.10f}"
-        if self.kind == "dyadic":
-            s = "" if self.scale == 1 else f"({self.scale}) "
-            return f"2pi {s}m/2^N"
-        if self.kind == "odd_dyadic":
-            return "2pi m/((2n+1) 2^N)"
-        return "continuous (no Bragg support)"
 
 
 @dataclass(frozen=True)
@@ -312,71 +288,16 @@ def classify_spectrum(rule: SubstitutionRule, orders, k_min: float = 0.05,
     return SpectrumClassification(peaks, frozenset(tags), spectrum)
 
 
-# -- predicted Bragg modules ---------------------------------------------------
+# -- Bragg peaks against a label group -----------------------------------------
 
-def module_for_family(family: str) -> FourierModule:
-    if family == "periodic":
-        return FourierModule(kind="comb", q=2)
-    if family == "fibonacci":
-        return FourierModule(kind="two_gen", rho=1 / GOLDEN)
-    if family == "thue-morse":
-        return FourierModule(kind="odd_dyadic")
-    if family == "period-doubling":
-        return FourierModule(kind="dyadic", scale=Fraction(1))
-    if family == "rudin-shapiro":
-        return FourierModule(kind="continuous")
-    from .errors import UnknownFamily
+def module_distance(k: float, group: LabelGroup, q_max: int = DEFAULT_Q_MAX,
+                    n_max: int = DEFAULT_N_MAX, k_max: float | None = None) -> float:
+    """Distance from k to the nearest element of 2 pi * group, coordinates bounded.
 
-    raise UnknownFamily(f"no Fourier module for family {family!r}")
-
-
-def predicted_bragg(module: FourierModule, k_max: float, p_max: int = 10,
-                    q_max: int = 10, n_max: int = 8, odd_max: int = 3):
-    """Deduplicated, sorted nonnegative peak positions with integer labels."""
-    found: dict[float, tuple] = {}
-
-    def put(k: float, label: tuple):
-        if 0.0 <= k <= k_max:
-            key = round(k, 9)
-            if key not in found:
-                found[key] = (k, label)
-
-    if module.kind == "comb":
-        m = 0
-        while TWO_PI * m / module.q <= k_max:
-            put(TWO_PI * m / module.q, (m,))
-            m += 1
-    elif module.kind == "two_gen":
-        for p in range(-p_max, p_max + 1):
-            for q in range(-q_max, q_max + 1):
-                put(TWO_PI * (p + q * module.rho), (p, q))
-    elif module.kind == "dyadic":
-        a = float(module.scale)
-        for n in range(n_max + 1):
-            step = TWO_PI * a / 2**n
-            m = 0
-            while m * step <= k_max:
-                put(m * step, (m, n))
-                m += 1
-    elif module.kind == "odd_dyadic":
-        for odd_index in range(odd_max + 1):
-            denom = 2 * odd_index + 1
-            for n in range(n_max + 1):
-                step = TWO_PI / (denom * 2**n)
-                m = 0
-                while m * step <= k_max:
-                    put(m * step, (odd_index, m, n))
-                    m += 1
-    return [found[key] for key in sorted(found)]
-
-
-def module_distance(k: float, module: FourierModule, k_max: float | None = None,
-                    **bounds) -> float:
-    """Distance from k to the nearest predicted peak of the module."""
-    if module.kind == "continuous":
-        return math.inf
-    limit = k_max if k_max is not None else k + TWO_PI
-    peaks = predicted_bragg(module, limit, **bounds)
-    if not peaks:
-        return math.inf
-    return min(abs(k - kp) for kp, _ in peaks)
+    The Bragg frequencies of a tiling lie in 2 pi times the trace image, so
+    a peak is checked with the nearest_element search that labels gaps.
+    k_max is ignored, since coordinates and not k bound the search; the
+    benchmark's traced bloch replay still passes it.
+    """
+    _, residual = nearest_element(k / TWO_PI, group, q_max=q_max, n_max=n_max)
+    return TWO_PI * residual

@@ -58,23 +58,22 @@ def chain_from_rule(rule: SubstitutionRule, order: int, seed: str | None = None,
                     lengths: dict[str, float] | None = None) -> AtomChain:
     """Chain of sigma^order(seed) with Perron tile lengths and mean spacing.
 
-    The word is projected onto the two-tile alphabet when the rule carries a
-    projection; the mean spacing is the exact Perron average sum(rho_l d_l).
+    Each letter keeps its own Perron length, also where the rule projects
+    several letters onto one tile letter; the mean spacing is the exact Perron
+    average sum(rho_l d_l).  Given lengths are per tile letter.
     """
     seed = seed or rule.alphabet[0]
-    word = rule.project(expand_word(rule, seed, order))
+    letters = expand_word(rule, seed, order)
     if lengths is None:
         pd = perron_data(occurrence_matrix(rule))
-        raw = {c: float(pd.lengths[i]) for i, c in enumerate(rule.alphabet)}
+        lengths = {c: float(pd.lengths[i]) for i, c in enumerate(rule.alphabet)}
         dbar = float(pd.freq @ pd.lengths)
-        if rule.tiles:
-            lengths = {rule.tiles[c]: raw[c] for c in rule.alphabet}
-        else:
-            lengths = raw
     else:
-        counts = {c: word.count(c) for c in set(word)}
-        dbar = sum(counts[c] * lengths[c] for c in counts) / len(word)
-    return positions_from_word(word, lengths, mean_spacing=dbar)
+        lengths = {c: lengths[rule.project(c)] for c in set(letters)}
+        dbar = None
+    chain = positions_from_word(letters, lengths, mean_spacing=dbar)
+    return AtomChain(chain.positions, rule.project(letters), chain.total_length,
+                     chain.mean_spacing)
 
 
 def fluctuation_stats(chain: AtomChain, mean_spacing: float | None = None) -> FluctuationStats:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import sympy
 
-from .errors import UnknownFamily, Unrecognized
+from .errors import Unrecognized
 from .exactla import lattice_hnf
 
 DEFAULT_Q_MAX = 30
@@ -127,34 +127,19 @@ def localized_group(scale: Fraction, prime: int) -> LabelGroup:
     return LabelGroup(kind="localized", scale=Fraction(num, den), prime=prime)
 
 
-def group_for_family(family: str) -> LabelGroup:
-    """Canonical label group of each built-in family.
-
-    periodic gives the degenerate two-generator group for its two-atom cell,
-    fibonacci the golden two-generator group, Thue-Morse and period doubling
-    (1/3)Z[1/2], Rudin-Shapiro Z[1/2].
-    """
-    if family == "periodic":
-        return two_gen_group(Fraction(1, 2))
-    if family == "fibonacci":
-        # Z + (1/golden) Z, 1/golden = lambda - 1 for lambda^2 = lambda + 1
-        return field_group((1, -1, -1), sympy.GoldenRatio, [(0, 1), (1, -1)])
-    if family in ("thue-morse", "period-doubling"):
-        return localized_group(Fraction(1, 3), 2)
-    if family == "rudin-shapiro":
-        return localized_group(Fraction(1), 2)
-    raise UnknownFamily(f"no label group for family {family!r}")
-
-
 def nearest_element(x: float, group: LabelGroup, q_max: int = DEFAULT_Q_MAX,
                     n_max: int = DEFAULT_N_MAX) -> tuple[GroupElement, float]:
     """Closest group element under bounded coordinates, with its residual.
 
     Ties go to the smaller |q| (two-generator) or smaller N then |m|
     (localized); the exhaustive search is over |q| <= q_max or N <= n_max.
+    Both bounds must be nonnegative whatever the group's kind.
     """
     if not math.isfinite(x):
         raise ValueError("x must be finite")
+    if q_max < 0 or n_max < 0:
+        raise ValueError(f"coordinate bounds must be nonnegative, got q_max={q_max}, "
+                         f"n_max={n_max}")
     if group.kind == "cyclic":
         m = round(x * group.q)
         value = m / group.q

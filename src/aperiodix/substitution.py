@@ -195,6 +195,14 @@ def is_primitive(m: OccurrenceMatrix) -> bool:
     return False
 
 
+def require_primitive(m: OccurrenceMatrix) -> OccurrenceMatrix:
+    """m itself; NotPrimitive if no power of it up to size^2 is strictly positive."""
+    if not is_primitive(m):
+        raise NotPrimitive(f"rule is not primitive: no power up to {m.size}^2 of its "
+                           "occurrence matrix is strictly positive")
+    return m
+
+
 def char_poly(entries) -> sympy.Poly:
     """Exact characteristic polynomial, in x, of a square integer matrix."""
     x = sympy.Symbol("x")
@@ -229,9 +237,7 @@ def perron_data(m: OccurrenceMatrix) -> PerronData:
     floats once, after the lengths are divided by their minimum; the float
     residuals are then checked against M.
     """
-    if not is_primitive(m):
-        raise NotPrimitive(f"no power up to {m.size}^2 is strictly positive")
-    lam, f, others = perron_root(m)
+    lam, f, others = perron_root(require_primitive(m))
     root = Fraction(str(lam))
     freq = _values_at(perron_vector(m.entries, f), root)
     lengths = _values_at(perron_vector(transpose(m.entries), f), root)
@@ -287,15 +293,12 @@ def classify_substitution(rule: SubstitutionRule, delta_u: float,
     delta_u is the window-normalised fluctuation extent from the geometry
     module; pass NaN to skip the quasiperiodicity test.
     """
-    m = occurrence_matrix(rule)
-    primitive = is_primitive(m)
-    if not primitive:
-        raise NotPrimitive("classification requires a primitive rule")
+    m = require_primitive(occurrence_matrix(rule))
     pisot, _ = pisot_flags(m)
     unimodular = abs(m.det) == 1
     quasiperiodic = (not math.isnan(delta_u)) and abs(delta_u - 1.0) <= tol_delta
-    common = primitive and pisot and unimodular and has_common_affix(rule)
-    return SubstitutionClass(primitive, pisot, unimodular, quasiperiodic, common)
+    common = pisot and unimodular and has_common_affix(rule)
+    return SubstitutionClass(True, pisot, unimodular, quasiperiodic, common)
 
 
 def recurrence_sequence(m: OccurrenceMatrix, n: int) -> list[int]:

@@ -16,10 +16,9 @@ from aperiodix.diffraction import (
     classify_spectrum,
     contrast_spectrum,
     module_distance,
-    module_for_family,
     peak_scaling,
 )
-from aperiodix.groups import group_for_family, nearest_element
+from aperiodix.groups import localized_group, nearest_element, two_gen_group
 from aperiodix.report import hull_averaged_gaps
 from aperiodix.spectral import (
     OnsiteModel,
@@ -32,6 +31,7 @@ from aperiodix.spectral import (
     eigenvalues_tridiag,
 )
 from aperiodix.substitution import builtin_rule, expand_word, letter_statistics
+from closed_forms import group_for_family
 
 FAMILIES = ("periodic", "fibonacci", "thue-morse", "period-doubling", "rudin-shapiro")
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -136,15 +136,16 @@ def test_criterion_07_rudin_shapiro_flat():
 
 def test_criterion_08_bragg_module_membership():
     resolution = (4 * math.pi - 0.05) / 2047  # classify grid cell
+    # the closed-form Bragg modules, in units of 2 pi
+    modules = {"fibonacci": two_gen_group(1 / GOLDEN),
+               "period-doubling": localized_group(1, 2)}
     ok = True
-    for family in ("fibonacci", "period-doubling"):
+    for family, module in modules.items():
         cls = classify_spectrum(builtin_rule(family), orders=(8, 10, 12, 14))
-        module = module_for_family(family)
         bragg = [p for p in cls.peaks if p.classification == "Bragg"]
         ok &= len(bragg) >= 2
         for peak in bragg:
-            dist = module_distance(peak.k_star, module, k_max=4 * math.pi + 1,
-                                   p_max=10, q_max=10, n_max=8)
+            dist = module_distance(peak.k_star, module, q_max=10, n_max=8)
             ok &= dist <= resolution
     _verdict(8, "every Bragg peak of Fibonacci within resolution of "
                 "2pi(p + q/lambda), of period doubling within 2pi m/2^N", ok)

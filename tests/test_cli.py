@@ -143,6 +143,10 @@ def test_computation_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+# b never reaches a: no power of the occurrence matrix is strictly positive
+NOT_PRIMITIVE = '{"images": {"a": "aab", "b": "b"}, "alphabet": ["a", "b"]}'
+
+
 @pytest.mark.parametrize("command, flag, text", [
     ("cohomology", "--rule-file", '{"alphabet": ["a", "b"]}'),
     ("trace", "--rule-file", "[1, 2]"),
@@ -150,6 +154,10 @@ def test_computation_error_exit_code(tmp_path, capsys):
     ("bloch", "--gaps-file", '{"gaps": [{"lower": 0.1}]}'),
     ("diffract --contrast", "--samples", "0"),
     ("diffract --contrast --kmax 1", "--kmin", "3"),
+    ("bloch", "--nmax", "-1"),
+    ("gaps", "--q-max", "-1"),
+    ("trace", "--rule-file", NOT_PRIMITIVE),
+    ("cohomology", "--rule-file", NOT_PRIMITIVE),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, text):
     # flags ending in -file read the text from a file, the others take it as is
@@ -164,6 +172,15 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, te
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("aperiodix: error:")
+
+
+def test_generate_zero_denominator_slope_is_a_one_line_error(capsys):
+    # --slope excludes --family, so the malformed-input table cannot carry it
+    code, _, err = run_cli(["generate", "--slope", "1/0"], capsys)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aperiodix: error:")
+    assert "1/0" in lines[0]
 
 
 def test_generate_cut_project_golden(capsys):

@@ -16,9 +16,9 @@ from aperiodix.cohomology import (
     smith_normal_form,
     trace_image,
 )
-from aperiodix.errors import NoFixedPoint, Unrecognized
+from aperiodix.errors import NoFixedPoint, NotPrimitive, Unrecognized
 from aperiodix.exactla import mat_mul
-from aperiodix.groups import contains, group_for_family
+from aperiodix.groups import contains
 from aperiodix.substitution import (
     SubstitutionRule,
     builtin_rule,
@@ -27,6 +27,7 @@ from aperiodix.substitution import (
     occurrence_matrix,
     perron_data,
 )
+from closed_forms import group_for_family
 
 FAMILIES = ("periodic", "fibonacci", "thue-morse", "period-doubling", "rudin-shapiro")
 
@@ -236,6 +237,15 @@ def test_trace_image_table(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_trace_group_contains_one(family):
     assert contains(1.0, trace_image(builtin_rule(family)), tol=1e-9)
+
+
+def test_non_primitive_rules_get_no_invariants():
+    # b never reaches a: no power of the occurrence matrix is strictly positive
+    rule = SubstitutionRule(("a", "b"), {"a": "aab", "b": "b"})
+    with pytest.raises(NotPrimitive):
+        trace_image(rule)
+    with pytest.raises(NotPrimitive):
+        cech_h1(rule)
 
 
 def test_custom_rule_without_cp_counterpart():

@@ -109,3 +109,5 @@ def test_slope_validation():
         CPParams(Fraction(3, 2))
     with pytest.raises(ValueError):
         cp_word(CPParams(Fraction(1, 2)), 0, 0)
+    with pytest.raises(ValueError, match="1/0"):
+        parse_slope("1/0")

@@ -12,13 +12,12 @@ from aperiodix.diffraction import (
     contrast_weights,
     fourier_amplitude,
     module_distance,
-    module_for_family,
     peak_scaling,
-    predicted_bragg,
     scaled_chain,
     structure_factor_grid,
 )
 from aperiodix.geometry import AtomChain, positions_from_word
+from aperiodix.groups import localized_group
 from aperiodix.substitution import (
     SubstitutionRule,
     builtin_rule,
@@ -151,9 +150,9 @@ def test_classify_rudin_shapiro_ac():
 def test_classify_period_doubling_dyadic_bragg():
     cls = classify_spectrum(builtin_rule("period-doubling"), orders=(8, 10, 12, 14))
     assert set(cls.tags) == {"PP"}
-    module = module_for_family("period-doubling")
+    module = localized_group(1, 2)  # 2 pi m / 2^N, closed form
     for p in cls.peaks:
-        assert module_distance(p.k_star, module, k_max=4 * math.pi) < 2e-2
+        assert module_distance(p.k_star, module, n_max=8) < 2e-2
 
 
 @pytest.mark.parametrize("family,orders", [("fibonacci", (8, 10, 12, 14)),
@@ -230,35 +229,6 @@ def test_contrast_amplitude_equals_whole_chain_sum(family, order):
     whole = diffraction._grid_amplitudes(chain.positions, contrast_weights(chain), ks)
     s_direct = np.abs(whole) ** 2 / chain.n_atoms
     assert np.max(np.abs(s_fact - s_direct)) <= 1e-9 * s_direct.max()
-
-
-def test_predicted_bragg_fibonacci():
-    module = module_for_family("fibonacci")
-    peaks = predicted_bragg(module, k_max=TWO_PI * 2.2, p_max=1, q_max=1)
-    ks = [k / TWO_PI for k, _ in peaks]
-    assert 0.0 in ks
-    assert any(abs(v - 1 / GOLDEN) < 1e-9 for v in ks)
-    assert any(abs(v - (1 + 1 / GOLDEN)) < 1e-9 for v in ks)  # 2 pi tau
-
-
-def test_predicted_bragg_period_doubling():
-    peaks = predicted_bragg(module_for_family("period-doubling"),
-                            k_max=TWO_PI, n_max=3)
-    ks = sorted(round(k / TWO_PI, 9) for k, _ in peaks)
-    for expected in (0.0, 1 / 8, 1 / 4, 3 / 8, 1 / 2, 5 / 8, 3 / 4, 7 / 8, 1.0):
-        assert expected in ks
-
-
-def test_predicted_bragg_thue_morse_family():
-    peaks = predicted_bragg(module_for_family("thue-morse"), k_max=TWO_PI,
-                            n_max=1, odd_max=1)
-    ks = [round(k / TWO_PI, 9) for k, _ in peaks]
-    assert 0.5 in ks       # n = 0 family, m/2
-    assert round(1 / 3, 9) in ks  # thirds family
-
-
-def test_predicted_bragg_continuous_empty():
-    assert predicted_bragg(module_for_family("rudin-shapiro"), k_max=10.0) == []
 
 
 def test_grid_determinism():

@@ -12,7 +12,14 @@ from aperiodix.geometry import (
     fluctuation_stats,
     positions_from_word,
 )
-from aperiodix.substitution import builtin_rule, occurrence_matrix, perron_data
+from aperiodix.diffraction import scaled_chain
+from aperiodix.substitution import (
+    SubstitutionRule,
+    builtin_rule,
+    expand_word,
+    occurrence_matrix,
+    perron_data,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -45,6 +52,23 @@ def test_mean_spacing_matches_perron_average():
         pd = perron_data(occurrence_matrix(rule))
         chain = chain_from_rule(rule, 10)
         assert abs(chain.mean_spacing - float(pd.freq @ pd.lengths)) < 1e-9
+
+
+def test_projected_letters_keep_their_own_lengths():
+    # a, b, c project onto the tiles a, b, b; b and c have different Perron
+    # lengths, so a projected chain must not give c the length of b
+    rule = SubstitutionRule(("a", "b", "c"), {"a": "abc", "b": "ab", "c": "a"},
+                            tiles={"a": "a", "b": "b", "c": "b"})
+    pd = perron_data(occurrence_matrix(rule))
+    chain = chain_from_rule(rule, 8)
+    assert chain.tile_letters == rule.project(expand_word(rule, "a", 8))
+    # |sigma^n(a)| with Perron lengths is exactly lambda^n d_a
+    exact = pd.lambda1 ** 8 * pd.lengths[0] / float(pd.freq @ pd.lengths)
+    scaled = scaled_chain(rule, 8)
+    assert abs(scaled.total_length / exact - 1) < 1e-12
+    # the measured mean spacing differs from 1 only by the finite word's
+    # boundary term, O(|lambda2 / lambda1|^n)
+    assert abs(scaled.total_length / scaled.n_atoms - 1) < 1e-3
 
 
 def test_fluctuations_periodic_zero():

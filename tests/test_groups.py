@@ -9,11 +9,11 @@ from aperiodix.groups import (
     contains,
     cyclic_group,
     field_group,
-    group_for_family,
     localized_group,
     nearest_element,
     two_gen_group,
 )
+from closed_forms import group_for_family
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -68,6 +68,16 @@ def test_contains_examples():
     assert not contains(1 / 5, rs, tol=1e-6)
     for family in ("periodic", "fibonacci", "thue-morse", "rudin-shapiro"):
         assert contains(0.0, group_for_family(family), tol=0.0)
+
+
+@pytest.mark.parametrize("group", [cyclic_group(2), two_gen_group(1 / GOLDEN),
+                                   localized_group(Fraction(1, 3), 2)],
+                         ids=lambda g: g.kind)
+@pytest.mark.parametrize("bounds", [{"q_max": -1}, {"n_max": -1}], ids=["q_max", "n_max"])
+def test_negative_bounds_are_refused(group, bounds):
+    # every kind refuses them, the cyclic one too although it searches nothing
+    with pytest.raises(ValueError, match="nonnegative"):
+        nearest_element(0.25, group, **bounds)
 
 
 def test_residual_monotone_in_bounds():

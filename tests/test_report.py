@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aperiodix.diffraction import contrast_spectrum
+from aperiodix.diffraction import contrast_spectrum, module_distance
 from aperiodix.report import bloch_report, hull_averaged_gaps, report_to_dict, to_json
 from aperiodix.spectral import (
     HoppingModel,
@@ -81,6 +81,16 @@ def test_verdicts_recomputable_from_residuals(reports):
     for report in reports.values():
         assert report.gaps_in_trace_group == all(
             g.residual <= report.tol for g in report.gap_labels)
+        # Bragg residuals are distances to 2 pi times the report's trace
+        # group, under bloch_report's default bounds q_max=30, n_max=10
+        for check in report.bragg_checks:
+            assert check.module_residual == module_distance(
+                check.k, report.trace_group, q_max=30, n_max=10)
+        ks = report.diffraction.k_values
+        k_cell = (ks[-1] - ks[0]) / (len(ks) - 1)
+        assert report.bragg_in_module == all(
+            c.module_residual <= 2 * k_cell
+            for c in report.bragg_checks if c.classification == "Bragg")
 
 
 def test_gap_tolerance_monotone(reports):
