@@ -35,7 +35,7 @@ from .substitution import (
     builtin_rule,
     expand_word,
 )
-from .svgplot import Series, emit_svg, render_svg
+from .svgplot import Series, render_svg
 
 
 def fmt(x: float) -> str:
@@ -140,7 +140,7 @@ def cmd_diffract(args) -> int:
     if args.svg:
         series = [Series(tuple(float(k) for k in spec.k_values),
                          tuple(float(s) for s in spec.S))]
-        emit_svg(series, "k", "S(k)", args.svg)
+        _write(render_svg([(series, "k", "S(k)")]), args.svg)
     return 0
 
 
@@ -338,10 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Refuse non-finite floats, --tol < 0 and --rel-threshold <= 0 up front."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise AperiodixError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if getattr(args, "tol", 0.0) < 0 or getattr(args, "rel_threshold", 1.0) <= 0:
+        raise AperiodixError("--tol must be nonnegative and --rel-threshold positive")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except (AperiodixError, ValueError, OSError) as exc:
         print(f"aperiodix: error: {exc}", file=sys.stderr)

@@ -8,6 +8,11 @@ the Cech H^1 of the hull is the direct limit of that action.  Periodic fixed
 points are detected first: their hull is a circle, not an inverse limit of
 substitution complexes.
 
+The collared letters are the closure of a few legal words under the
+collared substitution, which for a primitive rule is primitive on the legal
+collared letters: the closure is exactly the legal collared alphabet
+(collar), and cech_h1 and trace_image require primitivity before they collar.
+
 Direct limits of integer matrices are recognised exactly (no floating point)
 as sums of Z and Z[1/p] factors where possible; anything else is returned
 unrecognised with its raw presentation.
@@ -18,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import sympy
 
@@ -40,6 +46,7 @@ from .substitution import (
     OccurrenceMatrix,
     SubstitutionRule,
     char_poly,
+    expansions,
     imat_pow,
     int_det,
     least_period,
@@ -114,29 +121,7 @@ class DirectLimitGroup:
         return hash((self.free_rank, self.localized, self.recognized))
 
 
-# -- language enumeration and collaring --------------------------------------
-
-
-def _legal_factors(rule: SubstitutionRule, length: int) -> set[str]:
-    """All length-`length` factors of the substitution language."""
-    factors: set[str] = set()
-    stable_rounds = 0
-    words = {c: c for c in rule.alphabet}
-    for _ in range(64):
-        words = {c: "".join(rule.images[x] for x in words[c]) for c in rule.alphabet}
-        # cap the expansion; factors of a long enough window already repeat
-        words = {c: w[:200000] for c, w in words.items()}
-        before = len(factors)
-        for w in words.values():
-            for i in range(len(w) - length + 1):
-                factors.add(w[i:i + length])
-        if len(factors) == before and min(len(w) for w in words.values()) >= length:
-            stable_rounds += 1
-            if stable_rounds >= 3:
-                break
-        else:
-            stable_rounds = 0
-    return factors
+# -- collaring and fixed points ------------------------------------------------
 
 
 def collar(rule: SubstitutionRule, radius: int = 1) -> CollaredAlphabet:
@@ -145,10 +130,21 @@ def collar(rule: SubstitutionRule, radius: int = 1) -> CollaredAlphabet:
     Symbols are triples (u, c, v) with |u| = |v| = radius occurring in the
     language; the image of (u, c, v) reads off the letters of sigma(c) inside
     sigma(u) sigma(c) sigma(v) with their new contexts.
+
+    The seed, legal words, is the first 2 radius + 1 letters of each
+    sigma^k(c) at the first level k where all are that long; images of legal
+    symbols are legal.  For a primitive rule the collared substitution is
+    primitive on the legal symbols (Anderson-Putnam), so the closure of the
+    seed is all of them; for others it may miss some.  A growing word gains
+    a letter at least every len(alphabet) levels, which bounds the search.
     """
     width = 2 * radius + 1
-    seed = _legal_factors(rule, width)
-    symbols = {(w[:radius], w[radius], w[radius + 1:]) for w in seed}
+    levels = islice(expansions(rule, prefix=width), width * len(rule.alphabet) + 1)
+    for words in levels:
+        if min(len(w) for w in words.values()) == width:
+            break
+    symbols = {(w[:radius], w[radius], w[radius + 1:])
+               for w in words.values() if len(w) == width}
 
     def image_of(sym):
         u, c, v = sym
@@ -159,7 +155,6 @@ def collar(rule: SubstitutionRule, radius: int = 1) -> CollaredAlphabet:
             out.append((word[i - radius:i], word[i], word[i + 1:i + 1 + radius]))
         return out
 
-    # close under the collared substitution (safety net over the seed set)
     work = list(symbols)
     while work:
         sym = work.pop()
@@ -188,23 +183,18 @@ def fixed_point_period(rule: SubstitutionRule) -> int | None:
     shows in, and holds on all 2^18 letters (least_period).
     """
     seed, power = _fixed_point_seed(rule)
-    # sigma^step(c) for every letter c, each cut to the prefix length
-    words = {c: c for c in rule.alphabet}
-    for step in range(1, 64 * power + 1):
-        words = {c: "".join(words[x] for x in rule.images[c])[:FIXED_POINT_PREFIX]
-                 for c in rule.alphabet}
+    levels = islice(expansions(rule, prefix=FIXED_POINT_PREFIX), 64 * power + 1)
+    for step, words in enumerate(levels):
         if step % power == 0 and len(words[seed]) == FIXED_POINT_PREFIX:
             break
     return least_period(words[seed], len(words[seed]) // 16)
 
 
 def _fixed_point_seed(rule: SubstitutionRule) -> tuple[str, int]:
-    images = {c: rule.images[c] for c in rule.alphabet}
-    for power in range(1, 5):
+    for power, words in enumerate(islice(expansions(rule), 1, 5), start=1):
         for c in rule.alphabet:
-            if images[c][0] == c and len(images[c]) > 1:
+            if words[c][0] == c and len(words[c]) > 1:
                 return c, power
-        images = {c: "".join(rule.images[x] for x in images[c]) for c in rule.alphabet}
     raise NoFixedPoint("no power up to 4 of the substitution fixes a letter")
 
 

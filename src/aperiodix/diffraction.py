@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .geometry import AtomChain, chain_from_rule
 from .groups import DEFAULT_N_MAX, DEFAULT_Q_MAX, LabelGroup, nearest_element
-from .substitution import SubstitutionRule, expand_word, word_length
+from .substitution import SubstitutionRule, expansions
 
 TWO_PI = 2 * math.pi
 
@@ -127,8 +128,9 @@ def _supertile_amplitude(rule: SubstitutionRule, order: int,
     round the same cumulative positions.
     """
     m = order // 2
-    coarse = np.array(list(expand_word(rule, rule.alphabet[0], order - m)))
-    size = {c: word_length(rule, c, m) for c in rule.alphabet}
+    levels = list(islice(expansions(rule), order - m + 1))
+    size = {c: len(w) for c, w in levels[m].items()}
+    coarse = np.array(list(levels[-1][rule.alphabet[0]]))
     sizes = np.array([size[c] for c in coarse])
     starts = np.cumsum(sizes) - sizes
     parts = []

@@ -39,7 +39,3 @@ class Unrecognized(AperiodixError):
 
 class NoFixedPoint(AperiodixError):
     """No power of the substitution admits a seeded fixed point."""
-
-
-class IoError(AperiodixError):
-    """Failed to write an output artifact."""

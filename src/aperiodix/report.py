@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .spectral import (
     bulk_gaps,
     eigenvalues_tridiag,
 )
-from .substitution import builtin_rule, expand_word, word_length
+from .substitution import builtin_rule, expansions
 
 SCHEMA_VERSION = 1
 
@@ -90,10 +91,12 @@ def bloch_report(family: str, spectral_order: int | None = None,
     data consists of Bragg peaks alone, all inside the module: true for the
     periodic, Fibonacci and period-doubling families, false for Thue-Morse
     (a singular-continuous component survives) and Rudin-Shapiro (no Bragg
-    peaks at all).
+    peaks at all).  Bad bounds are refused before any work.
     """
+    if not (tol >= 0 and rel_threshold > 0 and q_max >= 0 and n_max >= 0):
+        raise ValueError(f"need tol, q_max, n_max >= 0 and rel_threshold > 0, got tol={tol}, "
+                         f"q_max={q_max}, n_max={n_max}, rel_threshold={rel_threshold}")
     rule = builtin_rule(family)
-    model = model if model is not None else OnsiteModel(0.0, 1.0)
     order = spectral_order if spectral_order is not None else DEFAULT_SPECTRAL_ORDER[family]
     orders = tuple(diffraction_orders) if diffraction_orders else DEFAULT_DIFFRACTION_ORDERS
 
@@ -162,18 +165,21 @@ def hull_averaged_gaps(rule, order: int, model=None, rel_threshold: float = 10.0
 
 def _hull_gaps(rule, order, model, rel_threshold, windows=HULL_WINDOWS):
     """The base spectrum and the hull-averaged gaps found in it."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     model = model if model is not None else OnsiteModel(0.0, 1.0)
     seed = rule.alphabet[0]
-    word = rule.project(expand_word(rule, seed, order))
+    levels = islice(expansions(rule, (seed,)), order, order + 13)
+    word = rule.project(next(levels)[seed])
     n = len(word)
     base = eigenvalues_tridiag(build_chain(word, model))
     gaps = bulk_gaps(base, rel_threshold)
     if not gaps:
         return base, []
-    long_order = order
-    while word_length(rule, seed, long_order) < 6 * n and long_order < order + 12:
-        long_order += 1
-    long_word = rule.project(expand_word(rule, seed, long_order))
+    for words in levels:
+        if len(words[seed]) >= 6 * n:
+            break
+    long_word = rule.project(words[seed])
     stride = max(1, (len(long_word) - n) // max(windows - 1, 1))
     # Sturm counts at twice each midpoint (the matrix eigenvalue of a halved
     # energy) take the levels strictly below, a counting function those at or
@@ -233,4 +239,5 @@ def report_to_dict(report: CorrespondenceReport) -> dict:
 
 def to_json(data: dict) -> str:
     """The byte-deterministic JSON text of every document the package writes."""
-    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False,
+                      allow_nan=False) + "\n"

@@ -56,7 +56,6 @@ class EnergySpectrum:
     """Sorted halved eigenvalues of the free-boundary chain."""
 
     eigenvalues: np.ndarray
-    boundary: str = "free"
 
     @property
     def size(self) -> int:
@@ -194,11 +193,13 @@ def counting_function(spectrum: EnergySpectrum, e: float) -> float:
 
 
 def detect_gaps(spectrum: EnergySpectrum, rel_threshold: float = 10.0) -> list[Gap]:
-    """Maximal spacings above rel_threshold times the median spacing.
+    """Maximal spacings above rel_threshold (> 0) times the median spacing.
 
     The counting function is constant on each gap; its value i/N is the gap
     label input.
     """
+    if not rel_threshold > 0:
+        raise ValueError(f"rel_threshold must be positive, got {rel_threshold}")
     eigs = spectrum.eigenvalues
     n = len(eigs)
     if n < 16:

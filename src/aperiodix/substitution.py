@@ -1,10 +1,13 @@
 """Substitution rules on finite alphabets and their linear-algebra invariants.
 
 A rule maps each letter to a nonempty word.  Iterating it produces the words
-whose geometry, diffraction and spectra the rest of the package studies.  The
-occurrence matrix M is oriented so that M[i][j] counts letter i inside the
-image of letter j; letter-count vectors then evolve as c -> M c, so letter
-frequencies are the Perron right eigenvector and tile lengths the left one.
+whose geometry, diffraction and spectra the rest of the package studies.
+`expansions` is the one routine that iterates it: every sigma^n in the
+package (words, supertiles, fixed-point prefixes, collar seeds) comes from
+there.  The occurrence matrix M is oriented so that M[i][j] counts letter i
+inside the image of letter j; letter-count vectors then evolve as c -> M c,
+so letter frequencies are the Perron right eigenvector and tile lengths the
+left one.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -107,9 +111,6 @@ class OccurrenceMatrix:
 
     def array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
-
-    def power(self, n: int) -> list[list[int]]:
-        return imat_pow([list(row) for row in self.entries], n)
 
 
 @dataclass(frozen=True)
@@ -312,12 +313,30 @@ def recurrence_sequence(m: OccurrenceMatrix, n: int) -> list[int]:
     return seq[: n + 1]
 
 
-def word_length(rule: SubstitutionRule, seed: str, order: int) -> int:
-    """|sigma^order(seed)| via exact matrix powers (no word materialised)."""
-    m = occurrence_matrix(rule)
-    j = rule.alphabet.index(seed)
-    power = m.power(order)
-    return sum(power[i][j] for i in range(m.size))
+def expansions(rule: SubstitutionRule, letters=None, prefix: Optional[int] = None,
+               cap: Optional[int] = None):
+    """Yield, for k = 0, 1, 2, ..., the dict c -> sigma^k(c) over `letters`
+    (default the alphabet) and every letter they reach.
+
+    sigma^k(c) = sigma^(k-1)(sigma(c)): a level joins the previous level's
+    words along each image.  With a prefix every word is cut to `prefix`
+    letters at each level, exactly, since a cut word is whole or already
+    `prefix` long.  Without one, LengthLimit is raised before a word of
+    `letters` longer than the cap (default length_cap()) is built.
+    """
+    wanted = tuple(letters or rule.alphabet)
+    live = set(wanted)
+    for _ in rule.alphabet:
+        live |= {x for c in live for x in rule.images[c]}
+    limit = cap if cap is not None else length_cap()
+    words, total = {}, 1
+    while True:
+        if prefix is None and total > limit:
+            raise LengthLimit(f"word of length {total} exceeds cap {limit}")
+        words = {c: "".join(words[x] for x in rule.images[c])[:prefix] if words else c
+                 for c in live}
+        yield words
+        total = max(sum(len(words[x]) for x in rule.images[c]) for c in wanted)
 
 
 def expand_word(rule: SubstitutionRule, seed: str, order: int,
@@ -327,14 +346,7 @@ def expand_word(rule: SubstitutionRule, seed: str, order: int,
         raise ValueError(f"seed {seed!r} not in alphabet")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    limit = cap if cap is not None else length_cap()
-    total = word_length(rule, seed, order)
-    if total > limit:
-        raise LengthLimit(f"word of length {total} exceeds cap {limit}")
-    word = seed
-    for _ in range(order):
-        word = "".join(rule.images[c] for c in word)
-    return word
+    return next(islice(expansions(rule, (seed,), cap=cap), order, None))[seed]
 
 
 def letter_statistics(word: str) -> tuple[dict[str, int], dict[str, float]]:

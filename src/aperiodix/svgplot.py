@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IoError
-
 WIDTH = 640
 HEIGHT = 400
 MARGIN = 48
@@ -15,9 +13,7 @@ MARGIN = 48
 class Series:
     xs: tuple[float, ...]
     ys: tuple[float, ...]
-    style: str = "line"      # line | stems
     color: str = "#1f77b4"
-    name: str = ""
 
 
 def _fmt(x: float) -> str:
@@ -47,17 +43,9 @@ def _panel(series, xlabel: str, ylabel: str, y_offset: int, height: int) -> list
         'fill="none" stroke="#444444" stroke-width="1"/>'
     ]
     for s in series:
-        if s.style == "stems":
-            base = py(max(y0, 0.0))
-            for x, y in zip(s.xs, s.ys):
-                out.append(f'<line x1="{_fmt(px(x))}" y1="{_fmt(base)}" '
-                           f'x2="{_fmt(px(x))}" y2="{_fmt(py(y))}" '
-                           f'stroke="{s.color}" stroke-width="1"/>')
-        else:
-            points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}"
-                              for x, y in zip(s.xs, s.ys))
-            out.append(f'<polyline fill="none" stroke="{s.color}" '
-                       f'stroke-width="1" points="{points}"/>')
+        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.xs, s.ys))
+        out.append(f'<polyline fill="none" stroke="{s.color}" '
+                   f'stroke-width="1" points="{points}"/>')
     out.append(f'<text x="{WIDTH // 2}" y="{y_offset + height - 10}" '
                f'text-anchor="middle" font-size="13">{xlabel}</text>')
     out.append(f'<text x="14" y="{y_offset + height // 2}" text-anchor="middle" '
@@ -83,13 +71,3 @@ def render_svg(panels) -> str:
         parts.extend(_panel(series, xlabel, ylabel, i * HEIGHT, HEIGHT))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def emit_svg(series, xlabel: str, ylabel: str, path: str) -> None:
-    """Write a single-panel SVG; deterministic for fixed input."""
-    text = render_svg([(series, xlabel, ylabel)])
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write SVG to {path}: {exc}") from exc

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aperiodix.cli import main
-from aperiodix.svgplot import Series, emit_svg, render_svg
+from aperiodix.svgplot import Series, render_svg
 
 
 def run_cli(args, capsys):
@@ -158,6 +158,19 @@ NOT_PRIMITIVE = '{"images": {"a": "aab", "b": "b"}, "alphabet": ["a", "b"]}'
     ("gaps", "--q-max", "-1"),
     ("trace", "--rule-file", NOT_PRIMITIVE),
     ("cohomology", "--rule-file", NOT_PRIMITIVE),
+    ("generate", "--phason", "nan"),
+    ("spectrum", "--va", "nan"),
+    ("spectrum", "--vb", "inf"),
+    ("spectrum --model hopping", "--eps", "nan"),
+    ("diffract", "--kmax", "inf"),
+    ("diffract", "--kmin", "nan"),
+    ("gaps", "--tol", "nan"),
+    ("bloch", "--tol", "nan"),
+    ("gaps", "--rel-threshold", "inf"),
+    ("gaps", "--tol", "-1"),
+    ("bloch", "--tol", "-0.001"),
+    ("gaps", "--rel-threshold", "0"),
+    ("bloch", "--rel-threshold", "-1"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, text):
     # flags ending in -file read the text from a file, the others take it as is
@@ -213,14 +226,11 @@ def test_rule_file_input(tmp_path, capsys):
     assert json.loads(out)["length"] == 13
 
 
-def test_svg_emission(tmp_path):
-    path = tmp_path / "plot.svg"
-    emit_svg([Series((0.0, 1.0), (0.0, 2.0))], "", "", str(path))
-    text = path.read_text()
+def test_svg_emission():
+    text = render_svg([([Series((0.0, 1.0), (0.0, 2.0))], "", "")])
     assert text.count("<polyline") == 1
     assert ">k</text>" in text and ">S(k)</text>" in text  # default labels
-    emit_svg([Series((0.0, 1.0), (0.0, 2.0))], "", "", str(tmp_path / "b.svg"))
-    assert (tmp_path / "b.svg").read_text() == text
+    assert render_svg([([Series((0.0, 1.0), (0.0, 2.0))], "", "")]) == text
 
 
 def test_svg_panels_and_validation():

@@ -54,6 +54,13 @@ def test_collar_thue_morse():
     assert pd.lambda1 == pytest.approx(2.0, abs=1e-9)
 
 
+def test_collar_terminates_on_words_that_stay_short():
+    # no word of a -> b, b -> a ever reaches three letters; a -> a never grows
+    assert collar(SubstitutionRule(("a", "b"), {"a": "b", "b": "a"})).size == 0
+    rule = SubstitutionRule(("a", "b"), {"a": "a", "b": "ab"})
+    assert {"".join(s) for s in collar(rule, 2).symbols} <= {"aaaaa", "aaaab"}
+
+
 def test_collar_column_sums_match_image_lengths():
     for name in FAMILIES:
         col = collar(builtin_rule(name))
@@ -267,8 +274,8 @@ def test_trace_refuses_lattice_without_primitive_one():
 
 
 @st.composite
-def primitive_rules(draw):
-    alphabet = "abc"[:draw(st.integers(2, 3))]
+def primitive_rules(draw, max_letters=3):
+    alphabet = "abcd"[:draw(st.integers(2, max_letters))]
     images = {c: draw(st.text(alphabet, min_size=1, max_size=4)) for c in alphabet}
     rule = SubstitutionRule(tuple(alphabet), images)
     if not is_primitive(occurrence_matrix(rule)):
@@ -299,6 +306,28 @@ def test_trace_image_holds_one_and_letter_frequencies(rule):
         assert contains(float(f), group, tol=1e-9)
     if quadratic_unit:
         assert group.kind == "two_gen"
+
+
+def _factors_letter_by_letter(rule, width, length=20000):
+    """Every width-letter factor of sigma^n(c), each letter c expanded one
+    letter at a time until it is at least `length` long."""
+    factors = set()
+    for c in rule.alphabet:
+        word = c
+        while len(word) < length:
+            word = "".join(rule.images[x] for x in word)
+        factors |= {word[i:i + width] for i in range(len(word) - width + 1)}
+    return factors
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(primitive_rules(max_letters=4))
+def test_collar_symbols_are_the_legal_factors(rule):
+    for radius in (1, 2):
+        col = collar(rule, radius)
+        assert ({"".join(s) for s in col.symbols}
+                == _factors_letter_by_letter(rule, 2 * radius + 1))
 
 
 def test_tribonacci_h1_free_trace_unsupported():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aperiodix import report as report_module
 from aperiodix.diffraction import contrast_spectrum, module_distance
 from aperiodix.report import bloch_report, hull_averaged_gaps, report_to_dict, to_json
 from aperiodix.spectral import (
@@ -13,7 +14,7 @@ from aperiodix.spectral import (
     counting_function,
     eigenvalues_tridiag,
 )
-from aperiodix.substitution import builtin_rule, expand_word, word_length
+from aperiodix.substitution import builtin_rule, expand_word
 
 # all five families at order 8-10 (N <= 256), on-site and hopping models
 HULL_CASES = [
@@ -37,7 +38,7 @@ def _spectrum_hull_ids(rule, order, model, windows=16):
     n = len(word)
     gaps = bulk_gaps(eigenvalues_tridiag(build_chain(word, model)))
     long_order = order
-    while word_length(rule, seed, long_order) < 6 * n and long_order < order + 12:
+    while len(expand_word(rule, seed, long_order)) < 6 * n and long_order < order + 12:
         long_order += 1
     long_word = rule.project(expand_word(rule, seed, long_order))
     stride = max(1, (len(long_word) - n) // (windows - 1))
@@ -142,3 +143,27 @@ def test_report_keeps_its_base_spectrum(reports):
                              4 * math.pi, 2048)
     assert np.array_equal(report.diffraction.k_values, grid.k_values)
     assert np.array_equal(report.diffraction.S, grid.S)
+
+
+@pytest.mark.parametrize("bad", [{"tol": -1e-3}, {"tol": math.nan}, {"q_max": -1},
+                                 {"n_max": -1}, {"rel_threshold": 0.0},
+                                 {"rel_threshold": math.nan}])
+def test_bad_bounds_are_refused_before_any_work(monkeypatch, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("bloch_report worked before it checked its bounds")
+
+    monkeypatch.setattr(report_module, "trace_image", no_work)
+    monkeypatch.setattr(report_module, "_hull_gaps", no_work)
+    with pytest.raises(ValueError):
+        bloch_report("periodic", **bad)
+
+
+def test_negative_order_is_refused_by_name():
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        hull_averaged_gaps(builtin_rule("fibonacci"), -1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_documents_hold_no_nan_or_infinity(value):
+    with pytest.raises(ValueError):
+        to_json({"tolerance": value})

@@ -13,6 +13,7 @@ from aperiodix.spectral import (
     _sturm_count,
     brute_force_eigs,
     build_chain,
+    bulk_gaps,
     counting_function,
     detect_gaps,
     eigenvalues_tridiag,
@@ -189,6 +190,16 @@ def test_detect_gaps_fibonacci_main_ids():
 def test_detect_gaps_infinite_threshold():
     spec = eigenvalues_tridiag(build_chain("ab" * 20, OnsiteModel(0.0, 1.0)))
     assert detect_gaps(spec, rel_threshold=math.inf) == []
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+def test_gap_threshold_must_be_positive(threshold):
+    # a threshold of 0 or less would count every spacing, bands included
+    spec = eigenvalues_tridiag(build_chain(fibonacci_word(6), OnsiteModel(0.0, 1.0)))
+    with pytest.raises(ValueError):
+        detect_gaps(spec, threshold)
+    with pytest.raises(ValueError):
+        bulk_gaps(spec, threshold)
 
 
 def test_eigenvalues_within_gershgorin():

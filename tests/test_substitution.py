@@ -21,7 +21,6 @@ from aperiodix.substitution import (
     perron_data,
     pisot_flags,
     recurrence_sequence,
-    word_length,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -184,6 +183,38 @@ def test_expand_word_length_cap():
         expand_word(builtin_rule("thue-morse"), "a", 30, cap=1000)
 
 
+def _expand_letter_by_letter(rule, seed, order):
+    word = seed
+    for _ in range(order):
+        word = "".join(rule.images[c] for c in word)
+    return word
+
+
+@st.composite
+def rules_seeds_orders(draw):
+    alphabet = "abcd"[:draw(st.integers(2, 4))]
+    images = {c: draw(st.text(alphabet, min_size=1, max_size=4)) for c in alphabet}
+    rule = SubstitutionRule(tuple(alphabet), images)
+    return rule, draw(st.sampled_from(alphabet)), draw(st.integers(0, 9))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(rules_seeds_orders())
+def test_expand_word_matches_letter_by_letter(case):
+    rule, seed, order = case
+    word = _expand_letter_by_letter(rule, seed, order)
+    assert expand_word(rule, seed, order) == word
+    assert expand_word(rule, seed, order, cap=len(word)) == word
+    with pytest.raises(LengthLimit):
+        expand_word(rule, seed, order, cap=len(word) - 1)
+
+
+def test_expand_word_builds_only_the_letters_it_reaches():
+    # c is never reached from a, so its 4^40-letter word is not built
+    rule = SubstitutionRule(("a", "b", "c"), {"a": "ab", "b": "b", "c": "cccc"})
+    assert expand_word(rule, "a", 40) == "a" + "b" * 40
+
+
 def test_word_lengths_match_matrix_powers():
     for name in ("fibonacci", "thue-morse", "period-doubling", "rudin-shapiro"):
         rule = builtin_rule(name)
@@ -192,7 +223,6 @@ def test_word_lengths_match_matrix_powers():
             w = expand_word(rule, rule.alphabet[0], n)
             power = imat_pow([list(r) for r in m.entries], n)
             assert len(w) == sum(power[i][0] for i in range(m.size))
-            assert len(w) == word_length(rule, rule.alphabet[0], n)
 
 
 def test_fibonacci_lengths_shift_recurrence():
@@ -201,7 +231,7 @@ def test_fibonacci_lengths_shift_recurrence():
     m = occurrence_matrix(fib)
     seq = recurrence_sequence(m, 22)
     for n in range(21):
-        assert word_length(fib, "a", n) == seq[n + 2]
+        assert len(expand_word(fib, "a", n)) == seq[n + 2]
 
 
 def test_letter_statistics_examples():
