@@ -253,8 +253,23 @@ def cmd_bloch(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every negative float literal (-1e-3, -inf) as a value.
+
+    argparse itself takes only the -1 and -.5 shapes for negative numbers,
+    so `--va -1e-3` would stop at a missing value for --va.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aperiodix",
         description="one-dimensional aperiodic tilings: diffraction, spectra, "
                     "gap labels, cohomology invariants")

@@ -99,14 +99,17 @@ def _grid_amplitudes(positions: np.ndarray, weights, ks: np.ndarray) -> np.ndarr
     columns wide row by row, so each k's sum runs over the atoms in order; a
     one-column last chunk is summed pairwise instead.  The chunks depend only
     on the atom count and the grid length, and the reduction uses no threads
-    (no BLAS), so the result is the same bit for bit on every run.
+    (no BLAS), so the result is the same bit for bit on every run.  The
+    exponential is taken in place, so a chunk holds one complex block: about
+    2^18 elements, or eight columns of a longer chain.
     """
     n = len(positions)
-    chunk = max(8, min(len(ks), (1 << 22) // max(n, 1)))
+    chunk = max(8, min(len(ks), (1 << 18) // max(n, 1)))
     out = np.empty(len(ks), dtype=complex)
     for start in range(0, len(ks), chunk):
         sub = ks[start:start + chunk]
-        phases = np.exp(-1j * positions[:, None] * sub[None, :])
+        phases = -1j * positions[:, None] * sub[None, :]
+        np.exp(phases, out=phases)
         if weights is not None:
             phases *= weights[:, None]
         out[start:start + chunk] = phases.sum(axis=0)

@@ -32,10 +32,6 @@ class UnknownFamily(AperiodixError):
 class Unrecognized(AperiodixError):
     """Group does not fall into the supported presentation kinds."""
 
-    def __init__(self, message, generators=None):
-        super().__init__(message)
-        self.generators = generators
-
 
 class NoFixedPoint(AperiodixError):
     """No power of the substitution admits a seeded fixed point."""

@@ -106,8 +106,7 @@ def field_group(poly, lam, generators) -> LabelGroup:
     """
     basis = lattice_hnf(generators)
     if len(basis) != 2 or basis[1] != (0, 1):
-        raise Unrecognized("1 is not primitive in the rank-2 frequency lattice",
-                           generators=basis)
+        raise Unrecognized("1 is not primitive in the rank-2 frequency lattice")
     (c1, c0), _ = basis
     w = sympy.N(lam, 40) * sympy.Rational(c1) + sympy.Rational(c0)
     return LabelGroup(kind="two_gen", rho=float(w % 1),

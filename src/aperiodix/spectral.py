@@ -3,12 +3,14 @@
 The Hamiltonian acts as (H phi)_n = t_{n-1,n} phi_{n-1} + t_{n,n+1} phi_{n+1}
 + v_n phi_n with free ends, and the eigenproblem is read as H phi = 2 e phi,
 so all reported energies are halved matrix eigenvalues.  The production
-solver is Sturm-sequence bisection (LDL pivot sign counts, vectorised over
-all eigenvalue indices at once); an independent characteristic-polynomial
-oracle covers small sizes for cross-checks.  Where only the integrated
-density of states at a few energies is needed, as for the hull-averaged gap
-labels in `report`, a Sturm count at those energies gives it without a full
-spectrum.
+solver is Sturm-sequence bisection: LDL pivot sign counts, vectorised over
+the shifts and taken over blocks of sites at once.  Each bisection pass
+counts once per distinct midpoint (shared shifts) and leaves out every index
+whose midpoint has rounded onto an end it already knows (settled cells).  An
+independent characteristic-polynomial oracle covers small sizes for
+cross-checks.  Where only the integrated density of states at a few energies
+is needed, as for the hull-averaged gap labels in `report`, a Sturm count at
+those energies gives it without a full spectrum.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import SizeLimit
 ORACLE_MAX = 12
 PIVMIN = 1e-280
 BISECT_STEPS = 60
+STURM_BLOCK = 16  # sites per block of pivots; at most 255 (uint8 block counts)
 
 
 @dataclass(frozen=True)
@@ -102,15 +105,48 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Number of eigenvalues of the tridiagonal matrix strictly below each x.
 
     LDL pivot recurrence q_i = (d_i - x) - b_{i-1}^2 / q_{i-1}; the count is
-    the number of negative pivots.  Vectorised over the array of shifts.
+    the number of negative pivots, and a pivot smaller than PIVMIN in size is
+    taken as -PIVMIN (zero pivots count as below, as in LAPACK dstebz).
+    Vectorised over the shifts and blocked over sites: one 2-D subtraction
+    fills a block of STURM_BLOCK rows with d_i - x, each row is then divided
+    and subtracted in place, and the block's negative pivots are counted at
+    once; a copy of its last row carries the recurrence into the next block.
+    A block runs without the guard first and again with it, site by site,
+    only if it met a pivot below PIVMIN; a block that met none is what the
+    guarded recurrence gives.  Every operation is elementwise, so each
+    shift's count is the same to the bit however the shifts are grouped.
     """
-    q = d[0] - xs
-    q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)  # zero pivots count as below
-    count = (q < 0).astype(np.int64)
-    for i in range(1, len(d)):
-        q = (d[i] - xs) - b2[i - 1] / q
-        q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)
-        count += q < 0
+    d = np.asarray(d, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    n, m = len(d), len(xs)
+    coeffs = [0.0, *np.asarray(b2, dtype=float).tolist()]  # q_0 = (d_0 - x) - 0 / 1
+    block = np.empty((min(STURM_BLOCK, n), m))
+    mag = np.empty_like(block)
+    negative = np.empty(block.shape, dtype=bool)
+    carry, quot, tiny = np.ones(m), np.empty(m), np.empty(m, dtype=bool)
+    block_count = np.empty(m, dtype=np.uint8)
+    count = np.zeros(m, dtype=np.int64)
+    with np.errstate(all="ignore"):  # unguarded zero pivots divide by zero
+        for start in range(0, n, STURM_BLOCK):
+            stop = min(start + STURM_BLOCK, n)
+            rows = block[:stop - start]
+            for guard in (False, True):
+                np.subtract(d[start:stop, None], xs, out=rows)
+                prev = carry
+                for c, row in zip(coeffs[start:stop], rows):
+                    np.divide(c, prev, out=quot)
+                    np.subtract(row, quot, out=row)
+                    if guard:
+                        np.less(np.abs(row, out=quot), PIVMIN, out=tiny)
+                        np.copyto(row, -PIVMIN, where=tiny)
+                    prev = row
+                smallest = np.fmin.reduce(np.abs(rows, out=mag[:len(rows)]),
+                                          axis=None, initial=np.inf)
+                if guard or not smallest < PIVMIN:
+                    break
+            signs = np.less(rows, 0.0, out=negative[:len(rows)]).view(np.uint8)
+            count += np.add.reduce(signs, axis=0, dtype=np.uint8, out=block_count)
+            np.copyto(carry, rows[-1])
     return count
 
 
@@ -119,7 +155,13 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
 
     Every index is bisected in lockstep; 60 fixed halvings of the Gershgorin
     interval put each eigenvalue within ~1e-16 of the spectral span,
-    deterministically.
+    deterministically.  A pass counts once per distinct midpoint (early
+    passes have 1, 2, 4, ... of them) and scatters the counts back.  An
+    index whose midpoint rounds onto an end already counted (a lower end
+    below its target, an upper end at or above it) would get that end's
+    outcome on every later pass, so it leaves the loop; the loop ends when
+    none is left.  The result is that of all 60 passes over every index, to
+    the last bit.
     """
     d = np.asarray(chain.onsite, dtype=float)
     b = np.asarray(chain.hopping, dtype=float)
@@ -134,12 +176,19 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
     lower = np.full(n, lo)
     upper = np.full(n, hi)
     targets = np.arange(1, n + 1)
+    active = np.arange(n)
     for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lower + upper)
-        counts = _sturm_count(d, b2, mid)
-        below = counts < targets
-        lower = np.where(below, mid, lower)
-        upper = np.where(below, upper, mid)
+        low, up = lower[active], upper[active]
+        mid = 0.5 * (low + up)
+        # an end still at the widened Gershgorin bound was never counted
+        moving = ~(((mid == low) & (low != lo)) | ((mid == up) & (up != hi)))
+        active, low, up, mid = active[moving], low[moving], up[moving], mid[moving]
+        if not len(active):
+            break
+        shifts, at = np.unique(mid, return_inverse=True)
+        below = _sturm_count(d, b2, shifts)[at] < targets[active]
+        lower[active] = np.where(below, mid, low)
+        upper[active] = np.where(below, up, mid)
     eigs = np.sort(0.5 * (lower + upper))
     return EnergySpectrum(0.5 * eigs)
 

@@ -168,6 +168,7 @@ NOT_PRIMITIVE = '{"images": {"a": "aab", "b": "b"}, "alphabet": ["a", "b"]}'
     ("bloch", "--tol", "nan"),
     ("gaps", "--rel-threshold", "inf"),
     ("gaps", "--tol", "-1"),
+    ("gaps", "--tol", "-1e-3"),
     ("bloch", "--tol", "-0.001"),
     ("gaps", "--rel-threshold", "0"),
     ("bloch", "--rel-threshold", "-1"),
@@ -185,6 +186,17 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, te
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("aperiodix: error:")
+
+
+def test_negative_flag_values_in_any_float_form(capsys):
+    # argparse alone takes -1e-3 and -inf for option names, not values
+    base = ["spectrum", "--family", "periodic", "--order", "6"]
+    code, spaced, _ = run_cli([*base, "--va", "-1e-3"], capsys)
+    assert code == 0
+    assert run_cli([*base, "--va=-1e-3"], capsys) == (0, spaced, "")
+    code, _, err = run_cli([*base, "--model", "hopping", "--eps", "-inf"], capsys)
+    assert code == 1
+    assert err == "aperiodix: error: --eps must be finite, got -inf\n"
 
 
 def test_generate_zero_denominator_slope_is_a_one_line_error(capsys):

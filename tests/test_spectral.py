@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from aperiodix.errors import SizeLimit
 from aperiodix.spectral import (
+    BISECT_STEPS,
+    PIVMIN,
     HoppingModel,
     OnsiteModel,
     TightBindingChain,
+    _gershgorin,
     _sturm_count,
     brute_force_eigs,
     build_chain,
@@ -137,6 +140,83 @@ def test_sturm_count_equals_eigenvalue_count(chain_and_shifts):
     if chain.size <= 12:
         oracle = 2 * brute_force_eigs(chain).eigenvalues
         assert list(counts) == [int(np.sum(oracle < x)) for x in xs]
+
+
+def reference_sturm_count(d, b2, xs):
+    """The pivot recurrence one site at a time, every shift on its own row."""
+    q = d[0] - xs
+    q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)
+    count = (q < 0).astype(np.int64)
+    for i in range(1, len(d)):
+        q = (d[i] - xs) - b2[i - 1] / q
+        q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)
+        count += q < 0
+    return count
+
+
+def reference_eigenvalues(chain):
+    """BISECT_STEPS lockstep halvings of every index, with no index left out."""
+    d, b = chain.onsite, chain.hopping
+    n = len(d)
+    if n == 1:
+        return np.array([d[0] / 2.0])
+    lo, hi = _gershgorin(d, b)
+    span = max(hi - lo, 1e-30)
+    lower = np.full(n, lo - 1e-12 * span)
+    upper = np.full(n, hi + 1e-12 * span)
+    targets = np.arange(1, n + 1)
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lower + upper)
+        below = reference_sturm_count(d, b * b, mid) < targets
+        lower = np.where(below, mid, lower)
+        upper = np.where(below, upper, mid)
+    return 0.5 * np.sort(0.5 * (lower + upper))
+
+
+@st.composite
+def integer_chains_and_shifts(draw):
+    # integer levels and integer or dyadic shifts hit exact zero pivots
+    n = draw(st.integers(1, 50))
+    onsite = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    hopping = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                            min_size=n - 1, max_size=n - 1))
+    xs = draw(st.lists(st.integers(-40, 40).map(lambda k: k / 4),
+                       min_size=1, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(xs), max_size=4))
+    return (np.array(onsite, dtype=float), np.array(hopping) ** 2,
+            np.array(xs + repeats))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(integer_chains_and_shifts())
+def test_sturm_count_is_the_plain_recurrence_bit_for_bit(case):
+    d, b2, xs = case
+    counts = _sturm_count(d, b2, xs)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, reference_sturm_count(d, b2, xs))
+
+
+def test_zero_pivot_counts_as_below():
+    # x = 0 on the free three-site chain: q_0 = 0 becomes -PIVMIN, so the
+    # level at 0 counts as below, and the first block is run with the guard
+    d, b2, xs = np.zeros(3), np.ones(2), np.array([0.0, 1.0, 0.0])
+    assert list(_sturm_count(d, b2, xs)) == [2, 2, 2]
+    assert np.array_equal(_sturm_count(d, b2, xs), reference_sturm_count(d, b2, xs))
+
+
+def test_eigenvalues_are_the_plain_bisection_bit_for_bit():
+    rng = np.random.default_rng(11)
+    sizes = [1, 2, 3, 15, 16, 17, 33, 200, *rng.integers(1, 201, 12)]
+    for n in sizes:
+        hopping = rng.uniform(0.05, 2.0, n - 1)
+        onsite = (rng.integers(-2, 3, n).astype(float) if n % 2
+                  else rng.uniform(-2.0, 2.0, n))
+        chain = TightBindingChain(onsite, hopping)
+        assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
+                              reference_eigenvalues(chain)), n
+    chain = build_chain(fibonacci_word(15)[:1000], OnsiteModel(0.0, 1.0))
+    assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
+                          reference_eigenvalues(chain))
 
 
 def test_shift_covariance():
