@@ -254,13 +254,16 @@ def cmd_bloch(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads every negative float literal (-1e-3, -inf) as a value.
+    """Reads every negative number as a value: -1e-3, -inf, and -1/2 or -1/golden.
 
     argparse itself takes only the -1 and -.5 shapes for negative numbers,
-    so `--va -1e-3` would stop at a missing value for --va.
+    so `--va -1e-3` or `--slope -1/2` would stop at a missing value.  No
+    option name starts with a digit or a dot after its dash.
     """
 
     def _parse_optional(self, arg_string):
+        if arg_string[1:2].isdigit() or arg_string[1:2] == ".":
+            return None
         try:
             float(arg_string)
         except ValueError:

@@ -96,23 +96,27 @@ def _grid_amplitudes(positions: np.ndarray, weights, ks: np.ndarray) -> np.ndarr
     The one phase sum of the module: whole chains without a rule behind them
     go through it as one block, rule-level chains supertile by supertile
     (_supertile_amplitude).  numpy reduces axis 0 of a block two or more
-    columns wide row by row, so each k's sum runs over the atoms in order; a
-    one-column last chunk is summed pairwise instead.  The chunks depend only
-    on the atom count and the grid length, and the reduction uses no threads
-    (no BLAS), so the result is the same bit for bit on every run.  The
-    exponential is taken in place, so a chunk holds one complex block: about
-    2^18 elements, or eight columns of a longer chain.
+    columns wide row by row, so each k's sum runs over the atoms in order,
+    whatever the other k of the grid; a one-column block would be summed
+    pairwise instead, so a one-column tail is folded into the chunk before
+    it, and only a single-k call (a one-column grid) is summed pairwise.
+    The reduction uses no threads (no BLAS), so the result is the same bit
+    for bit on every run.  The exponential is taken in place, so a chunk
+    holds one complex block: about 2^18 elements, or eight columns of a
+    longer chain.
     """
     n = len(positions)
     chunk = max(8, min(len(ks), (1 << 18) // max(n, 1)))
+    bounds = [*range(0, len(ks), chunk), len(ks)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
     out = np.empty(len(ks), dtype=complex)
-    for start in range(0, len(ks), chunk):
-        sub = ks[start:start + chunk]
-        phases = -1j * positions[:, None] * sub[None, :]
+    for start, stop in zip(bounds, bounds[1:]):
+        phases = -1j * positions[:, None] * ks[None, start:stop]
         np.exp(phases, out=phases)
         if weights is not None:
             phases *= weights[:, None]
-        out[start:start + chunk] = phases.sum(axis=0)
+        out[start:stop] = phases.sum(axis=0)
     return out
 
 
@@ -183,26 +187,29 @@ def _contrast_chain(rule: SubstitutionRule, order: int):
 
 # -- peak scaling --------------------------------------------------------------
 
-def _refine_peak(fun, a: float, b: float, rounds: int = 5, points: int = 65) -> float:
-    """Argmax of fun on [a, b] by iterated grid zoom.
+def _zoom_peaks(fun, windows, rounds: int = 5, points: int = 65) -> list[float]:
+    """Argmax of fun on each window [a, b] by iterated grid zoom, all windows at once.
 
-    fun maps a k-vector to its values, so each round is one call on its
-    whole grid (one supertile-factorised sum for the contrast amplitude).
-    Quasiperiodic spectra are spiky and far from unimodal, so golden-section
-    style bracketing can lose the peak; an odd-count grid always samples the
-    window centre, and each round zooms onto the winning cell.
+    fun maps a k-vector to its values, so each round is one call on the
+    concatenated grids of every window (one supertile-factorised sum for the
+    contrast amplitude), split back per window.  A k's amplitude does not
+    depend on the other k of its call (_grid_amplitudes), so each window
+    zooms as it would alone.  Quasiperiodic spectra are spiky and far from
+    unimodal, so golden-section style bracketing can lose the peak; an
+    odd-count grid always samples the window centre, and each round zooms
+    onto the winning cell.
     """
-    best_k, best_v = 0.5 * (a + b), -math.inf
+    bounds = [(float(a), float(b)) for a, b in windows]
+    best = [(0.5 * (a + b), -math.inf) for a, b in bounds]
     for _ in range(rounds):
-        ks = np.linspace(a, b, points)
-        vals = fun(ks)
-        i = int(np.argmax(vals))
-        if vals[i] > best_v:
-            best_v, best_k = float(vals[i]), float(ks[i])
-        lo = max(i - 1, 0)
-        hi = min(i + 1, points - 1)
-        a, b = float(ks[lo]), float(ks[hi])
-    return best_k
+        grids = [np.linspace(a, b, points) for a, b in bounds]
+        values = np.split(fun(np.concatenate(grids)), len(grids))
+        for j, (ks, vals) in enumerate(zip(grids, values)):
+            i = int(np.argmax(vals))
+            if vals[i] > best[j][1]:
+                best[j] = (float(ks[i]), float(vals[i]))
+            bounds[j] = (float(ks[max(i - 1, 0)]), float(ks[min(i + 1, points - 1)]))
+    return [k for k, _ in best]
 
 
 def peak_scaling(rule: SubstitutionRule, k_star: float, orders,
@@ -216,38 +223,40 @@ def peak_scaling(rule: SubstitutionRule, k_star: float, orders,
     """
     orders = tuple(orders)
     chains = {order: _contrast_chain(rule, order) for order in set(orders)}
-    return _peak_scaling(chains, orders, k_star, refine_halfwidth)
+    return _peak_scaling(chains, orders, [k_star], refine_halfwidth)[0]
 
 
-def _peak_scaling(chains, orders: tuple[int, ...], k_star: float,
-                  refine_halfwidth: float) -> PeakScaling:
-    """peak_scaling on chains built beforehand: order -> (chain, amplitude)."""
+def _peak_scaling(chains, orders: tuple[int, ...], k_stars: list[float],
+                  refine_halfwidth: float) -> list[PeakScaling]:
+    """peak_scaling of every k_star on chains built beforehand: order -> (chain, amplitude).
+
+    Per order, the windows of all peaks are zoomed in the same amplitude
+    calls (_zoom_peaks).  The amplitude at each refined peak stays one
+    single-k call per peak, whose one column is summed pairwise.
+    """
     if len(orders) < 4:
         raise ValueError("need at least 4 orders for a scaling fit")
-    amplitudes = []
-    lengths = []
-    atoms = []
-    k_refined = k_star
-    for order in orders:
-        chain, amp = chains[order]
-        k_refined = _refine_peak(amp, k_star - refine_halfwidth,
-                                 k_star + refine_halfwidth)
-        amplitudes.append(amp(np.array([k_refined]))[0])
-        lengths.append(chain.total_length)
-        atoms.append(chain.n_atoms)
-    s_values = [a * a / n for a, n in zip(amplitudes, atoms)]
+    refined = [_zoom_peaks(chains[order][1], [(k - refine_halfwidth, k + refine_halfwidth)
+                                              for k in k_stars])
+               for order in orders]
+    lengths = [chains[order][0].total_length for order in orders]
     xs = np.log(lengths)
-    ys = np.log(np.maximum(s_values, 1e-300))
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    gamma = min(max(slope, 0.0), 1.05)
-    if gamma >= BRAGG_GAMMA:
-        cls = "Bragg"
-    elif gamma >= SC_GAMMA:
-        cls = "SingularContinuous"
-    else:
-        cls = "Flat"
-    return PeakScaling(k_refined, orders, tuple(amplitudes), tuple(lengths),
-                       gamma, cls)
+    peaks = []
+    for ks in zip(*refined):
+        amplitudes = [chains[order][1](np.array([k]))[0] for order, k in zip(orders, ks)]
+        s_values = [a * a / chains[order][0].n_atoms for a, order in zip(amplitudes, orders)]
+        ys = np.log(np.maximum(s_values, 1e-300))
+        slope = float(np.polyfit(xs, ys, 1)[0])
+        gamma = min(max(slope, 0.0), 1.05)
+        if gamma >= BRAGG_GAMMA:
+            cls = "Bragg"
+        elif gamma >= SC_GAMMA:
+            cls = "SingularContinuous"
+        else:
+            cls = "Flat"
+        peaks.append(PeakScaling(ks[-1], orders, tuple(amplitudes), tuple(lengths),
+                                 gamma, cls))
+    return peaks
 
 
 def classify_spectrum(rule: SubstitutionRule, orders, k_min: float = 0.05,
@@ -258,7 +267,8 @@ def classify_spectrum(rule: SubstitutionRule, orders, k_min: float = 0.05,
     Maxima of the contrast structure factor at the largest order qualify as
     peaks when they rise a fixed factor above the mean grid level (flat
     backgrounds never qualify); each peak is then scaled across the orders.
-    Each order's chain is built once and serves the grid and every peak.
+    Each order's chain is built once and serves the grid and every peak, and
+    each zoom round of an order refines all peaks in one amplitude call.
     Tags: PP if any Bragg peak, SC if any singular-continuous one, AC when
     nothing qualifies at all.
     """
@@ -280,8 +290,8 @@ def classify_spectrum(rule: SubstitutionRule, orders, k_min: float = 0.05,
             chosen.append(i)
         if len(chosen) == max_peaks:
             break
-    peaks = tuple(_peak_scaling(chains, orders, float(ks[i]), cell / 2)
-                  for i in chosen)
+    peaks = tuple(_peak_scaling(chains, orders, [float(ks[i]) for i in chosen],
+                                cell / 2)) if chosen else ()
     tags = set()
     for peak in peaks:
         if peak.classification == "Bragg":

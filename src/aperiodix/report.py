@@ -158,7 +158,8 @@ def hull_averaged_gaps(rule, order: int, model=None, rel_threshold: float = 10.0
     value is then averaged over same-length windows cut from a longer
     expansion, where the +-1 boundary terms equidistribute and cancel.  A
     window's counting value at the gap midpoint is one Sturm count per gap,
-    so no window spectrum is solved.
+    so no window spectrum is solved, and all windows are counted at every
+    gap midpoint in one Sturm call along its windows axis.
     """
     return _hull_gaps(rule, order, model, rel_threshold, windows)[1]
 
@@ -183,15 +184,17 @@ def _hull_gaps(rule, order, model, rel_threshold, windows=HULL_WINDOWS):
     stride = max(1, (len(long_word) - n) // max(windows - 1, 1))
     # Sturm counts at twice each midpoint (the matrix eigenvalue of a halved
     # energy) take the levels strictly below, a counting function those at or
-    # below: the two differ only for a window level on a midpoint.  Summing
-    # count/size window by window keeps the ids those of window spectra read
-    # by counting_function, to the last bit.
+    # below: the two differ only for a window level on a midpoint.  All
+    # windows have n sites and are counted in one call along a windows axis.
+    # Summing count/n window by window keeps the ids those of window spectra
+    # read by counting_function, to the last bit.
     xs = np.array([gap.lower + gap.upper for gap in gaps])
-    fractions = []
-    for j in range(windows):
-        chain = build_chain(long_word[j * stride:j * stride + n], model)
-        counts = _sturm_count(chain.onsite, chain.hopping * chain.hopping, xs)
-        fractions.append([int(c) / chain.size for c in counts])
+    chains = [build_chain(long_word[j * stride:j * stride + n], model)
+              for j in range(windows)]
+    counts = _sturm_count(np.stack([c.onsite for c in chains], axis=1),
+                          np.stack([c.hopping * c.hopping for c in chains], axis=1),
+                          xs)
+    fractions = [[int(c) / n for c in row] for row in counts]
     refined = [Gap(gap.lower, gap.upper, gap.width,
                    sum(f[i] for f in fractions) / windows)
                for i, gap in enumerate(gaps)]

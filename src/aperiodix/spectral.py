@@ -6,11 +6,15 @@ so all reported energies are halved matrix eigenvalues.  The production
 solver is Sturm-sequence bisection: LDL pivot sign counts, vectorised over
 the shifts and taken over blocks of sites at once.  Each bisection pass
 counts once per distinct midpoint (shared shifts) and leaves out every index
-whose midpoint has rounded onto an end it already knows (settled cells).  An
-independent characteristic-polynomial oracle covers small sizes for
-cross-checks.  Where only the integrated density of states at a few energies
-is needed, as for the hull-averaged gap labels in `report`, a Sturm count at
-those energies gives it without a full spectrum.
+whose midpoint has rounded onto an end it already knows (settled cells).
+While a pass has few distinct midpoints, one count also takes both possible
+next midpoints, so one sweep makes two halvings (two-level sweeps): at these
+sizes a count costs about the same at any width.  The Sturm count also takes
+a windows axis, several chains of one length counted at the same shifts in
+one call.  An independent characteristic-polynomial oracle covers small
+sizes for cross-checks.  Where only the integrated density of states at a
+few energies is needed, as for the hull-averaged gap labels in `report`, a
+Sturm count at those energies gives it without a full spectrum.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ ORACLE_MAX = 12
 PIVMIN = 1e-280
 BISECT_STEPS = 60
 STURM_BLOCK = 16  # sites per block of pivots; at most 255 (uint8 block counts)
+TWO_LEVEL_SHIFTS = 1536  # most distinct midpoints a pass takes two halvings for
 
 
 @dataclass(frozen=True)
@@ -113,25 +118,31 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray) -> np.ndarray:
     once; a copy of its last row carries the recurrence into the next block.
     A block runs without the guard first and again with it, site by site,
     only if it met a pivot below PIVMIN; a block that met none is what the
-    guarded recurrence gives.  Every operation is elementwise, so each
-    shift's count is the same to the bit however the shifts are grouped.
+    guarded recurrence gives.  d of shape (n, W) and b2 of shape (n-1, W)
+    are W chains of one length (a windows axis), counted at the same shifts
+    in one pass over the sites; the counts then have shape (W, m).  Every
+    operation is elementwise, so each shift's count is the same to the bit
+    however the shifts and the chains are grouped.
     """
     d = np.asarray(d, dtype=float)
+    b2 = np.asarray(b2, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    n, m = len(d), len(xs)
-    coeffs = [0.0, *np.asarray(b2, dtype=float).tolist()]  # q_0 = (d_0 - x) - 0 / 1
-    block = np.empty((min(STURM_BLOCK, n), m))
+    n = len(d)
+    shape = d.shape[1:] + xs.shape
+    # q_0 = (d_0 - x) - 0 / 1; a windows axis divides row by row
+    coeffs = [0.0, *(b2.tolist() if d.ndim == 1 else b2[..., None])]
+    block = np.empty((min(STURM_BLOCK, n), *shape))
     mag = np.empty_like(block)
     negative = np.empty(block.shape, dtype=bool)
-    carry, quot, tiny = np.ones(m), np.empty(m), np.empty(m, dtype=bool)
-    block_count = np.empty(m, dtype=np.uint8)
-    count = np.zeros(m, dtype=np.int64)
+    carry, quot, tiny = np.ones(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    block_count = np.empty(shape, dtype=np.uint8)
+    count = np.zeros(shape, dtype=np.int64)
     with np.errstate(all="ignore"):  # unguarded zero pivots divide by zero
         for start in range(0, n, STURM_BLOCK):
             stop = min(start + STURM_BLOCK, n)
             rows = block[:stop - start]
             for guard in (False, True):
-                np.subtract(d[start:stop, None], xs, out=rows)
+                np.subtract(d[start:stop, ..., None], xs, out=rows)
                 prev = carry
                 for c, row in zip(coeffs[start:stop], rows):
                     np.divide(c, prev, out=quot)
@@ -160,8 +171,14 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
     index whose midpoint rounds onto an end already counted (a lower end
     below its target, an upper end at or above it) would get that end's
     outcome on every later pass, so it leaves the loop; the loop ends when
-    none is left.  The result is that of all 60 passes over every index, to
-    the last bit.
+    none is left.  While a pass has at most TWO_LEVEL_SHIFTS distinct
+    midpoints, the same count also takes both midpoints the next pass could
+    have, 0.5 (mid + up) and 0.5 (low + mid), and the sweep takes both
+    halvings.  The second needs no settled-cell test: a midpoint on an end
+    already counted gets that end's count again and moves nothing.  Above
+    the cap the count's width, not its per-call cost, dominates, and a
+    sweep makes one halving.  The result is that of all 60 passes over
+    every index, to the last bit.
     """
     d = np.asarray(chain.onsite, dtype=float)
     b = np.asarray(chain.hopping, dtype=float)
@@ -177,7 +194,8 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
     upper = np.full(n, hi)
     targets = np.arange(1, n + 1)
     active = np.arange(n)
-    for _ in range(BISECT_STEPS):
+    steps = 0
+    while steps < BISECT_STEPS:
         low, up = lower[active], upper[active]
         mid = 0.5 * (low + up)
         # an end still at the widened Gershgorin bound was never counted
@@ -185,10 +203,23 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
         active, low, up, mid = active[moving], low[moving], up[moving], mid[moving]
         if not len(active):
             break
+        target = targets[active]
         shifts, at = np.unique(mid, return_inverse=True)
-        below = _sturm_count(d, b2, shifts)[at] < targets[active]
-        lower[active] = np.where(below, mid, low)
-        upper[active] = np.where(below, up, mid)
+        two_level = len(shifts) <= TWO_LEVEL_SHIFTS and steps + 1 < BISECT_STEPS
+        if two_level:
+            above_mid, below_mid = 0.5 * (mid + up), 0.5 * (low + mid)
+            shifts, at = np.unique(np.concatenate([mid, above_mid, below_mid]),
+                                   return_inverse=True)
+        counts = _sturm_count(d, b2, shifts)[at]
+        k = len(active)
+        below = counts[:k] < target
+        low, up = np.where(below, mid, low), np.where(below, up, mid)
+        if two_level:
+            mid = np.where(below, above_mid, below_mid)
+            below = np.where(below, counts[k:2 * k], counts[2 * k:]) < target
+            low, up = np.where(below, mid, low), np.where(below, up, mid)
+        lower[active], upper[active] = low, up
+        steps += 2 if two_level else 1
     eigs = np.sort(0.5 * (lower + upper))
     return EnergySpectrum(0.5 * eigs)
 

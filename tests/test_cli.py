@@ -199,6 +199,15 @@ def test_negative_flag_values_in_any_float_form(capsys):
     assert err == "aperiodix: error: --eps must be finite, got -inf\n"
 
 
+@pytest.mark.parametrize("slope", ["-1/2", "-1/golden"])
+def test_negative_fraction_slope_is_a_value(capsys, slope):
+    # a dash and a digit start a value, never an option name
+    code, _, err = run_cli(["generate", "--slope", slope, "--count", "5"], capsys)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("aperiodix: error:")
+    assert run_cli(["generate", f"--slope={slope}", "--count", "5"], capsys) == (1, "", err)
+
+
 def test_generate_zero_denominator_slope_is_a_one_line_error(capsys):
     # --slope excludes --family, so the malformed-input table cannot carry it
     code, _, err = run_cli(["generate", "--slope", "1/0"], capsys)

@@ -171,6 +171,28 @@ def test_classify_peaks_equal_peak_scaling(family, orders):
                             refine_halfwidth=cell / 2) == peak  # bit for bit
 
 
+def test_classify_zooms_many_peaks_as_each_alone():
+    # one amplitude call per zoom round serves every peak of an order
+    rule, orders = builtin_rule("thue-morse"), (8, 10, 12, 14)
+    cls = classify_spectrum(rule, orders)
+    assert len(cls.peaks) >= 3
+    ks, cell = cls.spectrum.k_values, (4 * math.pi - 0.05) / 2047
+    for peak in cls.peaks:
+        k_grid = ks[np.argmin(np.abs(ks - peak.k_star))]
+        assert peak_scaling(rule, float(k_grid), orders,
+                            refine_halfwidth=cell / 2) == peak  # bit for bit
+
+
+def test_grid_amplitude_of_a_k_does_not_depend_on_the_grid():
+    # 40000 atoms take chunks of 8 k; a 9-point grid would end on a
+    # one-column chunk, summed pairwise, if the tail were not folded in
+    positions = scaled_chain(builtin_rule("fibonacci"), 23).positions[:40000]
+    ks = np.linspace(0.5, 3.0, 9)
+    nine = diffraction._grid_amplitudes(positions, None, ks)
+    two = diffraction._grid_amplitudes(positions, None, ks[7:])
+    assert np.array_equal(nine[7:], two)
+
+
 def test_classify_builds_each_chain_once(monkeypatch):
     built = []
 

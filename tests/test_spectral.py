@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aperiodix import spectral
 from aperiodix.errors import SizeLimit
 from aperiodix.spectral import (
     BISECT_STEPS,
     PIVMIN,
+    TWO_LEVEL_SHIFTS,
     HoppingModel,
     OnsiteModel,
     TightBindingChain,
@@ -196,6 +198,33 @@ def test_sturm_count_is_the_plain_recurrence_bit_for_bit(case):
     assert np.array_equal(counts, reference_sturm_count(d, b2, xs))
 
 
+@st.composite
+def integer_windows_and_shifts(draw):
+    # W integer chains of one length, counted at the same shifts
+    n = draw(st.integers(1, 40))
+    w = draw(st.integers(1, 5))
+    onsite = draw(st.lists(st.integers(-3, 3), min_size=n * w, max_size=n * w))
+    hopping = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                            min_size=(n - 1) * w, max_size=(n - 1) * w))
+    xs = draw(st.lists(st.integers(-40, 40).map(lambda k: k / 4),
+                       min_size=1, max_size=12))
+    return (np.array(onsite, dtype=float).reshape(n, w),
+            (np.array(hopping) ** 2).reshape(n - 1, w), np.array(xs))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(integer_windows_and_shifts())
+def test_windows_axis_counts_each_window_bit_for_bit(case):
+    d, b2, xs = case
+    counts = _sturm_count(d, b2, xs)
+    assert counts.shape == (d.shape[1], len(xs)) and counts.dtype == np.int64
+    for j in range(d.shape[1]):
+        alone = _sturm_count(np.ascontiguousarray(d[:, j]),
+                             np.ascontiguousarray(b2[:, j]), xs)
+        assert np.array_equal(counts[j], alone)
+        assert np.array_equal(counts[j], reference_sturm_count(d[:, j], b2[:, j], xs))
+
+
 def test_zero_pivot_counts_as_below():
     # x = 0 on the free three-site chain: q_0 = 0 becomes -PIVMIN, so the
     # level at 0 counts as below, and the first block is run with the guard
@@ -214,9 +243,34 @@ def test_eigenvalues_are_the_plain_bisection_bit_for_bit():
         chain = TightBindingChain(onsite, hopping)
         assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
                               reference_eigenvalues(chain)), n
+    for n in (40, 201):
+        # integer levels and hoppings meet exact zero pivots
+        chain = TightBindingChain(rng.integers(-2, 3, n).astype(float), np.ones(n - 1))
+        assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
+                              reference_eigenvalues(chain)), n
     chain = build_chain(fibonacci_word(15)[:1000], OnsiteModel(0.0, 1.0))
     assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
                           reference_eigenvalues(chain))
+    # above TWO_LEVEL_SHIFTS the middle passes take one halving per sweep;
+    # the free chain's level at 0 is halved through all BISECT_STEPS passes
+    n = 1601
+    assert n > TWO_LEVEL_SHIFTS
+    chain = TightBindingChain(np.zeros(n), np.ones(n - 1))
+    assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
+                          reference_eigenvalues(chain))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 5, 13, 40])
+def test_eigenvalues_are_the_plain_bisection_at_any_two_level_cap(monkeypatch, cap):
+    # the cap sets where sweeps switch between one and two halvings, so some
+    # caps reach the last pass on a two-level sweep; the level at 0 of the
+    # free chain is halved through all BISECT_STEPS passes
+    monkeypatch.setattr(spectral, "TWO_LEVEL_SHIFTS", cap)
+    rng = np.random.default_rng(cap)
+    for chain in (TightBindingChain(np.zeros(41), np.ones(40)),
+                  TightBindingChain(rng.integers(-2, 3, 40).astype(float), np.ones(39))):
+        assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
+                              reference_eigenvalues(chain))
 
 
 def test_shift_covariance():
