@@ -171,6 +171,8 @@ def cmd_gaps(args) -> int:
             raise AperiodixError(f"{args.spectrum_file}: every row after the header "
                                  "must read index,eigenvalue")
         eigs = np.array([float(r[1]) for r in rows])
+        if not np.isfinite(eigs).all():
+            raise AperiodixError(f"{args.spectrum_file}: every eigenvalue must be finite")
         gaps = bulk_gaps(EnergySpectrum(np.sort(eigs)), args.rel_threshold)
     else:
         gaps = hull_averaged_gaps(rule, args.order, _resolve_model(args),

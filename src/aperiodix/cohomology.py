@@ -32,8 +32,9 @@ from .exactla import (
     companion,
     frac_inverse,
     frac_kernel,
-    frac_matrix,
     frac_solve,
+    imat_pow,
+    int_det,
     lattice_hnf,
     mat_mul,
     perron_vector,
@@ -47,8 +48,6 @@ from .substitution import (
     SubstitutionRule,
     char_poly,
     expansions,
-    imat_pow,
-    int_det,
     least_period,
     occurrence_matrix,
     perron_root,
@@ -216,7 +215,8 @@ def direct_limit(a) -> DirectLimitGroup:
     n = len(a)
     if n == 0:
         return DirectLimitGroup(0, (), presentation, True)
-    abar, s = _quotient_by_eventual_kernel(a)
+    abar = _quotient_by_eventual_kernel(a)
+    s = len(abar)
     if s == 0:
         return DirectLimitGroup(0, (), presentation, True, note="trivial limit")
     det = int_det(abar)
@@ -249,7 +249,7 @@ def direct_limit(a) -> DirectLimitGroup:
         blocks.append(("loc", p, lattice, dim))
 
     loc_blocks = [b for b in blocks if b[0] == "loc"]
-    if loc_blocks and not _splitting_is_clean(s, loc_blocks):
+    if loc_blocks and not _splitting_is_clean(loc_blocks):
         return DirectLimitGroup(0, (), presentation, False,
                                 note="cross-prime glue does not split")
     free_rank = sum(dim for kind, _, _, dim in blocks if kind == "free")
@@ -260,30 +260,32 @@ def direct_limit(a) -> DirectLimitGroup:
     return DirectLimitGroup(free_rank, localized, presentation, True)
 
 
-def _quotient_by_eventual_kernel(a) -> tuple[list[list[int]], int]:
-    """Induced integer matrix on Z^n / sat(ker A^n), and its size."""
-    n = len(a)
-    kernel = frac_kernel(imat_pow(a, n))
+def _quotient_by_eventual_kernel(a) -> list[list[int]]:
+    """Induced integer matrix on Z^n / sat(ker A^n)."""
+    kernel = frac_kernel(imat_pow(a, len(a)))
     if not kernel:
-        return [row[:] for row in a], n
-    k = len(kernel)
-    cols = _fraction_columns_to_int(kernel)
-    ker_basis = saturation(cols)  # n x k, columns
-    u, d, _ = smith_normal_form(ker_basis)
-    for i in range(k):
-        if d[i][i] != 1:
-            raise ArithmeticError("saturated kernel should have unit invariants")
-    uinv = frac_inverse(u)
-    uinv_int = [[int(x) for x in row] for row in uinv]
-    # y = U x puts the kernel on the first k coordinates; quotient = rest
-    ua = mat_mul(u, a)
-    uau = mat_mul(ua, uinv_int)
-    for i in range(k, n):
-        for j in range(k):
-            if uau[i][j] != 0:
-                raise ArithmeticError("eventual kernel is not invariant")
-    abar = [[uau[i][j] for j in range(k, n)] for i in range(k, n)]
-    return abar, n - k
+        return a
+    return _induced_on_quotient(a, saturation(_fraction_columns_to_int(kernel)),
+                                "eventual kernel")
+
+
+def _induced_on_quotient(a, span, name: str) -> list[list[int]]:
+    """Matrix that the integer matrix a induces on Z^n / (column span of span).
+
+    The Smith form U span V = D puts the span on the first r = rank
+    coordinates of y = U x.  The span must be a direct summand (unit
+    invariants) that a maps into itself (U a U^-1 has a zero lower-left
+    block); the induced matrix is the trailing block of U a U^-1.
+    """
+    u, d, _ = smith_normal_form(span)
+    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
+    if any(d[i][i] != 1 for i in range(rank)):
+        raise ArithmeticError(f"{name} is not a direct summand")
+    uinv = [[int(x) for x in row] for row in frac_inverse(u)]
+    conj = mat_mul(mat_mul(u, a), uinv)
+    if any(conj[i][j] for i in range(rank, len(a)) for j in range(rank)):
+        raise ArithmeticError(f"{name} is not invariant under the action")
+    return [row[rank:] for row in conj[rank:]]
 
 
 def _fraction_columns_to_int(vectors) -> list[list[int]]:
@@ -315,34 +317,27 @@ def _poly_of_matrix(coeffs, m):
     return out
 
 
-def _splitting_is_clean(s: int, loc_blocks) -> bool:
+def _splitting_is_clean(loc_blocks) -> bool:
     """Check the divisible part splits as a direct sum across primes.
 
     W = saturation of the union of the p-block lattices.  Every basis vector
     of W must decompose with each p-component having only p-power
     denominators in its own block basis; then lim(W) = (+)_p Z[1/p]^(m_p).
     """
-    all_cols = _concat_columns([b[2] for b in loc_blocks])
-    w_basis = saturation(all_cols)  # s x w columns
-    wdim = len(w_basis[0]) if w_basis else 0
-    block_mats = [frac_matrix(b[2]) for b in loc_blocks]
-    primes = [b[1] for b in loc_blocks]
-    stacked = frac_matrix(_concat_columns([b[2] for b in loc_blocks]))
-    for col in range(wdim):
-        target = [Fraction(w_basis[r][col]) for r in range(s)]
+    stacked = _concat_columns([lattice for _, _, lattice, _ in loc_blocks])
+    for target in transpose(saturation(stacked)):
         combo = frac_solve(stacked, target)
         if combo is None:
             return False
         offset = 0
-        for mat, p in zip(block_mats, primes):
-            width = len(mat[0]) if mat and mat[0] else 0
-            for t in range(offset, offset + width):
-                denom = combo[t].denominator
+        for _, p, _, dim in loc_blocks:
+            for x in combo[offset:offset + dim]:
+                denom = x.denominator
                 while denom % p == 0:
                     denom //= p
                 if denom != 1:
                     return False
-            offset += width
+            offset += dim
     return True
 
 
@@ -376,7 +371,7 @@ def cech_h1(rule: SubstitutionRule, radius: int | None = None) -> DirectLimitGro
     last_error = None
     for r in radii:
         try:
-            abar, note = _h1_action_matrix(rule, r)
+            abar = _h1_action_matrix(rule, r)
         except ArithmeticError as exc:
             last_error = exc
             continue
@@ -390,16 +385,15 @@ def cech_h1(rule: SubstitutionRule, radius: int | None = None) -> DirectLimitGro
 def _h1_action_matrix(rule: SubstitutionRule, radius: int):
     """Integer matrix of the substitution action on H^1 of the collared complex."""
     col = collar(rule, radius)
-    radius_ = col.radius
     edges = col.symbols
     # vertices are junction types: (last R letters, next R letters)
     def source(sym):
         u, c, v = sym
-        return (u, (c + v)[:radius_])
+        return (u, (c + v)[:radius])
 
     def target(sym):
         u, c, v = sym
-        return ((u + c)[-radius_:], v)
+        return ((u + c)[-radius:], v)
 
     vertices = sorted({source(s) for s in edges} | {target(s) for s in edges})
     vindex = {v: i for i, v in enumerate(vertices)}
@@ -409,21 +403,7 @@ def _h1_action_matrix(rule: SubstitutionRule, radius: int):
         delta[e][vindex[target(sym)]] += 1
         delta[e][vindex[source(sym)]] -= 1
 
-    u, d, _v = smith_normal_form(delta)
-    rank = sum(1 for i in range(min(ne, nv)) if d[i][i] != 0)
-    for i in range(rank):
-        if d[i][i] != 1:
-            raise ArithmeticError("coboundary image is not a direct summand")
-
-    at = transpose([list(row) for row in col.matrix])
-    uinv = [[int(x) for x in row] for row in frac_inverse(u)]
-    conj = mat_mul(mat_mul(u, at), uinv)
-    for i in range(rank, ne):
-        for j in range(rank):
-            if conj[i][j] != 0:
-                raise ArithmeticError("substitution action does not preserve im(delta)")
-    abar = [[conj[i][j] for j in range(rank, ne)] for i in range(rank, ne)]
-    return abar, f"H1 rank {ne - rank}"
+    return _induced_on_quotient(transpose(col.matrix), delta, "coboundary image")
 
 
 # -- trace image --------------------------------------------------------------

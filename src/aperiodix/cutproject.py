@@ -1,10 +1,11 @@
 """Cut-and-project letter sequences from the characteristic sign function.
 
-chi(n, phi) = sgn[cos(2 pi n s + phi) - cos(pi s)] maps each integer to one
-of two letters.  Slopes are carried as exact Fractions: rational slopes stay
-exact (ties sgn(0) resolved to +1 deterministically), irrational ones such
-as 1/golden are stored as 60-digit rational approximants so the argument
-reduction n*s mod 1 never accumulates error over accessible n.
+chi(n, phi) = sgn[cos(2 pi n s + phi) - cos(pi s)] maps each integer n to
+the letter a (chi = +1) or b (chi = -1).  Slopes are carried as exact
+Fractions: rational slopes stay exact (ties sgn(0) resolved to a
+deterministically), irrational ones such as 1/golden are stored as 60-digit
+rational approximants so the argument reduction n*s mod 1 never accumulates
+error over accessible n.
 """
 
 from __future__ import annotations
@@ -26,26 +27,30 @@ def golden_conjugate_slope() -> Fraction:
 
 
 def parse_slope(text: str) -> tuple[Fraction, bool]:
-    """Parse "p/q", a decimal, or "1/golden"; returns (slope, is_exact)."""
+    """Parse "p/q" with integers p and q, a decimal, or "1/golden".
+
+    Returns (slope, is_exact); anything else is one ValueError naming the
+    accepted forms.
+    """
     text = text.strip()
     if text == "1/golden":
         return golden_conjugate_slope(), False
-    if "/" in text:
-        num, den = (int(part) for part in text.split("/", 1))
-        if den == 0:
-            raise ValueError(f"slope {text!r} has a zero denominator")
-        return Fraction(num, den), True
-    return Fraction(text), True
+    num, _, den = text.partition("/")
+    try:
+        return (Fraction(int(num), int(den)) if den else Fraction(text)), True
+    except ZeroDivisionError:
+        raise ValueError(f"slope {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f'slope {text!r} is not "p/q" with integers p and q, a decimal, '
+                         'or "1/golden"') from None
 
 
 @dataclass(frozen=True)
 class CPParams:
-    """Slope and phason of the cut, with the two output letters."""
+    """Slope and phason of the cut."""
 
     slope: Fraction
     phason: float = 0.0
-    letter_plus: str = "a"
-    letter_minus: str = "b"
     exact: bool = True  # slope is the intended exact rational
 
     def __post_init__(self):
@@ -54,34 +59,28 @@ class CPParams:
         object.__setattr__(self, "phason", self.phason % (2 * math.pi))
 
     @staticmethod
-    def from_text(slope: str, phason: float = 0.0,
-                  letter_plus: str = "a", letter_minus: str = "b") -> "CPParams":
+    def from_text(slope: str, phason: float = 0.0) -> "CPParams":
         s, exact = parse_slope(slope)
-        return CPParams(s, phason, letter_plus, letter_minus, exact)
-
-
-def chi(n: int, params: CPParams) -> int:
-    """Characteristic sign at integer n; an exact zero resolves to +1."""
-    return 1 if cp_word(params, n) == params.letter_plus else -1
+        return CPParams(s, phason, exact)
 
 
 def cp_word(params: CPParams, n0: int = 0, count: int = 1) -> str:
-    """Word of length count with letter i determined by chi(n0 + i)."""
+    """Word of length count: letter i is a where chi(n0 + i) = +1 (an exact
+    zero included), b where it is -1."""
     if count < 1:
         raise ValueError("count must be at least 1")
     p, q = params.slope.numerator, params.slope.denominator
     cos_cut = math.cos(math.pi * p / q)
     two_pi = 2 * math.pi
-    plus, minus = params.letter_plus, params.letter_minus
     exact_ties = params.phason == 0.0 and params.exact
     t = (n0 * p) % q
     out = []
     for _ in range(count):
         if exact_ties and ((2 * t - p) % (2 * q) == 0 or (2 * t + p) % (2 * q) == 0):
-            out.append(plus)
+            out.append("a")
         else:
             value = math.cos(two_pi * t / q + params.phason) - cos_cut
-            out.append(plus if value >= 0 else minus)
+            out.append("a" if value >= 0 else "b")
         t = (t + p) % q
     return "".join(out)
 

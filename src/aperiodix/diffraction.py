@@ -39,6 +39,14 @@ TWO_PI = 2 * math.pi
 BRAGG_GAMMA = 0.95
 SC_GAMMA = 0.2
 SIGNIFICANCE_RATIO = 25.0
+# the classification grid and the peaks picked from it
+CLASSIFY_K_MIN = 0.05
+CLASSIFY_K_MAX = 4 * math.pi
+CLASSIFY_SAMPLES = 2048
+MAX_PEAKS = 6
+# iterated grid zoom of each peak window
+ZOOM_ROUNDS = 5
+ZOOM_POINTS = 65
 
 
 @dataclass(frozen=True)
@@ -65,11 +73,6 @@ class SpectrumClassification:
     tags: frozenset[str]            # subset of {"PP", "SC", "AC"}
     # the top order's contrast grid the peaks were picked from
     spectrum: DiffractionSpectrum = field(compare=False, repr=False)
-
-
-def fourier_amplitude(chain: AtomChain, k: float) -> float:
-    """|sum_n exp(-i k x_n)| via pairwise summation."""
-    return abs(_grid_amplitudes(chain.positions, None, np.array([k]))[0])
 
 
 def structure_factor_grid(chain: AtomChain, k_min: float, k_max: float,
@@ -187,7 +190,7 @@ def _contrast_chain(rule: SubstitutionRule, order: int):
 
 # -- peak scaling --------------------------------------------------------------
 
-def _zoom_peaks(fun, windows, rounds: int = 5, points: int = 65) -> list[float]:
+def _zoom_peaks(fun, windows) -> list[float]:
     """Argmax of fun on each window [a, b] by iterated grid zoom, all windows at once.
 
     fun maps a k-vector to its values, so each round is one call on the
@@ -197,18 +200,19 @@ def _zoom_peaks(fun, windows, rounds: int = 5, points: int = 65) -> list[float]:
     zooms as it would alone.  Quasiperiodic spectra are spiky and far from
     unimodal, so golden-section style bracketing can lose the peak; an
     odd-count grid always samples the window centre, and each round zooms
-    onto the winning cell.
+    onto the winning cell.  Each of the ZOOM_ROUNDS rounds samples
+    ZOOM_POINTS points per window.
     """
     bounds = [(float(a), float(b)) for a, b in windows]
     best = [(0.5 * (a + b), -math.inf) for a, b in bounds]
-    for _ in range(rounds):
-        grids = [np.linspace(a, b, points) for a, b in bounds]
+    for _ in range(ZOOM_ROUNDS):
+        grids = [np.linspace(a, b, ZOOM_POINTS) for a, b in bounds]
         values = np.split(fun(np.concatenate(grids)), len(grids))
         for j, (ks, vals) in enumerate(zip(grids, values)):
             i = int(np.argmax(vals))
             if vals[i] > best[j][1]:
                 best[j] = (float(ks[i]), float(vals[i]))
-            bounds[j] = (float(ks[max(i - 1, 0)]), float(ks[min(i + 1, points - 1)]))
+            bounds[j] = (float(ks[max(i - 1, 0)]), float(ks[min(i + 1, ZOOM_POINTS - 1)]))
     return [k for k, _ in best]
 
 
@@ -259,14 +263,14 @@ def _peak_scaling(chains, orders: tuple[int, ...], k_stars: list[float],
     return peaks
 
 
-def classify_spectrum(rule: SubstitutionRule, orders, k_min: float = 0.05,
-                      k_max: float = 4 * math.pi, samples: int = 2048,
-                      max_peaks: int = 6) -> SpectrumClassification:
+def classify_spectrum(rule: SubstitutionRule, orders) -> SpectrumClassification:
     """Scaling classification of the strongest local maxima, plus overall tags.
 
-    Maxima of the contrast structure factor at the largest order qualify as
-    peaks when they rise a fixed factor above the mean grid level (flat
-    backgrounds never qualify); each peak is then scaled across the orders.
+    Maxima of the contrast structure factor at the largest order, on the
+    CLASSIFY_SAMPLES-point grid of [CLASSIFY_K_MIN, CLASSIFY_K_MAX], qualify
+    as peaks when they rise a fixed factor above the mean grid level (flat
+    backgrounds never qualify); the MAX_PEAKS strongest, each more than
+    eight grid cells from a stronger one, are then scaled across the orders.
     Each order's chain is built once and serves the grid and every peak, and
     each zoom round of an order refines all peaks in one amplitude call.
     Tags: PP if any Bragg peak, SC if any singular-continuous one, AC when
@@ -274,7 +278,8 @@ def classify_spectrum(rule: SubstitutionRule, orders, k_min: float = 0.05,
     """
     orders = tuple(orders)
     chains = {order: _contrast_chain(rule, order) for order in set(orders)}
-    spectrum = _grid_spectrum(*chains[max(orders)], k_min, k_max, samples)
+    spectrum = _grid_spectrum(*chains[max(orders)], CLASSIFY_K_MIN, CLASSIFY_K_MAX,
+                              CLASSIFY_SAMPLES)
     ks, svals = spectrum.k_values, spectrum.S
     mean_level = float(svals.mean())
     candidates = []
@@ -283,12 +288,12 @@ def classify_spectrum(rule: SubstitutionRule, orders, k_min: float = 0.05,
             if svals[i] >= SIGNIFICANCE_RATIO * mean_level:
                 candidates.append(i)
     candidates.sort(key=lambda i: -svals[i])
-    cell = (k_max - k_min) / (samples - 1)
+    cell = (CLASSIFY_K_MAX - CLASSIFY_K_MIN) / (CLASSIFY_SAMPLES - 1)
     chosen: list[int] = []
     for i in candidates:
         if all(abs(ks[i] - ks[j]) > 8 * cell for j in chosen):
             chosen.append(i)
-        if len(chosen) == max_peaks:
+        if len(chosen) == MAX_PEAKS:
             break
     peaks = tuple(_peak_scaling(chains, orders, [float(ks[i]) for i in chosen],
                                 cell / 2)) if chosen else ()

@@ -13,14 +13,6 @@ class LengthLimit(AperiodixError):
     """A generated word would exceed the configured length cap."""
 
 
-class EmptyWord(AperiodixError):
-    """Operation requires a nonempty word."""
-
-
-class TooShort(AperiodixError):
-    """Chain has too few atoms for the requested statistic."""
-
-
 class SizeLimit(AperiodixError):
     """Matrix too large for the brute-force oracle."""
 

@@ -36,6 +36,39 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def imat_pow(m: IntMatrix, n: int) -> IntMatrix:
+    """m^n by repeated squaring."""
+    result, base = identity(len(m)), m
+    while n > 0:
+        if n & 1:
+            result = mat_mul(result, base)
+        base = mat_mul(base, base)
+        n >>= 1
+    return result
+
+
+def int_det(m: IntMatrix) -> int:
+    """Exact integer determinant (fraction-free Bareiss)."""
+    n = len(m)
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(U, D, V) with U a V = D diagonal, d_1 | d_2 | ..., det U, det V = +-1."""
     rows = len(a)

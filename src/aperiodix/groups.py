@@ -22,7 +22,6 @@ from .exactla import lattice_hnf
 
 DEFAULT_Q_MAX = 30
 DEFAULT_N_MAX = 12
-DEFAULT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -72,10 +71,6 @@ class GroupElement:
 
     coordinates: tuple[int, ...]
     value: float
-
-    @property
-    def reduced_mod_1(self) -> float:
-        return self.value - math.floor(self.value)
 
 
 def cyclic_group(q: int) -> LabelGroup:
@@ -162,9 +157,3 @@ def nearest_element(x: float, group: LabelGroup, q_max: int = DEFAULT_Q_MAX,
             best = (GroupElement((m, n), value), residual)
     return best
 
-
-def contains(x: float, group: LabelGroup, tol: float = DEFAULT_TOL,
-             q_max: int = DEFAULT_Q_MAX, n_max: int = DEFAULT_N_MAX) -> bool:
-    """Bounded-coordinate membership test: nearest residual within tol."""
-    _, residual = nearest_element(x, group, q_max=q_max, n_max=n_max)
-    return residual <= tol

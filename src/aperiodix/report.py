@@ -77,28 +77,28 @@ class CorrespondenceReport:
     diffraction: DiffractionSpectrum = field(compare=False, repr=False)
 
 
-def bloch_report(family: str, spectral_order: int | None = None,
-                 model=None, diffraction_orders=None, tol: float = 1e-3,
-                 q_max: int = 30, n_max: int = 10,
-                 rel_threshold: float = 10.0) -> CorrespondenceReport:
+def bloch_report(family: str, model=None, tol: float = 1e-3, q_max: int = 30,
+                 n_max: int = 10, rel_threshold: float = 10.0) -> CorrespondenceReport:
     """Gap labels and Bragg peaks against the trace image of a built-in family.
 
-    Each gap's counting value and each diffraction peak's k / 2 pi is matched
-    to its nearest trace-image element under the same coordinate bounds; a
-    Bragg peak counts as in the module within two grid cells.  Only
-    inclusion is checked: the trace image may hold frequencies with no
-    Bragg peak.  diffraction_matches_trace holds only when the diffraction
-    data consists of Bragg peaks alone, all inside the module: true for the
-    periodic, Fibonacci and period-doubling families, false for Thue-Morse
-    (a singular-continuous component survives) and Rudin-Shapiro (no Bragg
+    The gaps come from the family's DEFAULT_SPECTRAL_ORDER chain, the peaks
+    from the DEFAULT_DIFFRACTION_ORDERS classification.  Each gap's counting
+    value and each diffraction peak's k / 2 pi is matched to its nearest
+    trace-image element under the same coordinate bounds; a Bragg peak
+    counts as in the module within two grid cells.  Only inclusion is
+    checked: the trace image may hold frequencies with no Bragg peak.
+    diffraction_matches_trace holds only when the diffraction data consists
+    of Bragg peaks alone, all inside the module: true for the periodic,
+    Fibonacci and period-doubling families, false for Thue-Morse (a
+    singular-continuous component survives) and Rudin-Shapiro (no Bragg
     peaks at all).  Bad bounds are refused before any work.
     """
     if not (tol >= 0 and rel_threshold > 0 and q_max >= 0 and n_max >= 0):
         raise ValueError(f"need tol, q_max, n_max >= 0 and rel_threshold > 0, got tol={tol}, "
                          f"q_max={q_max}, n_max={n_max}, rel_threshold={rel_threshold}")
     rule = builtin_rule(family)
-    order = spectral_order if spectral_order is not None else DEFAULT_SPECTRAL_ORDER[family]
-    orders = tuple(diffraction_orders) if diffraction_orders else DEFAULT_DIFFRACTION_ORDERS
+    order = DEFAULT_SPECTRAL_ORDER[family]
+    orders = DEFAULT_DIFFRACTION_ORDERS
 
     trace = trace_image(rule)
 
@@ -148,23 +148,24 @@ def module_for_family(family: str) -> LabelGroup:
     return trace_image(builtin_rule(family))
 
 
-def hull_averaged_gaps(rule, order: int, model=None, rel_threshold: float = 10.0,
-                       windows: int = HULL_WINDOWS) -> list[Gap]:
+def hull_averaged_gaps(rule, order: int, model=None,
+                       rel_threshold: float = 10.0) -> list[Gap]:
     """Spectral gaps with counting values averaged over hull windows.
 
     A single free chain miscounts some gap labels by one state (boundary
     spectral flow), which matters at tolerances near 1/N.  Gap positions come
     from the full spectrum of the order-`order` chain; each gap's counting
     value is then averaged over same-length windows cut from a longer
-    expansion, where the +-1 boundary terms equidistribute and cancel.  A
-    window's counting value at the gap midpoint is one Sturm count per gap,
-    so no window spectrum is solved, and all windows are counted at every
-    gap midpoint in one Sturm call along its windows axis.
+    expansion (HULL_WINDOWS of them), where the +-1 boundary terms
+    equidistribute and cancel.  A window's counting value at the gap midpoint
+    is one Sturm count per gap, so no window spectrum is solved, and all
+    windows are counted at every gap midpoint in one Sturm call along its
+    windows axis.
     """
-    return _hull_gaps(rule, order, model, rel_threshold, windows)[1]
+    return _hull_gaps(rule, order, model, rel_threshold)[1]
 
 
-def _hull_gaps(rule, order, model, rel_threshold, windows=HULL_WINDOWS):
+def _hull_gaps(rule, order, model, rel_threshold):
     """The base spectrum and the hull-averaged gaps found in it."""
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -181,7 +182,7 @@ def _hull_gaps(rule, order, model, rel_threshold, windows=HULL_WINDOWS):
         if len(words[seed]) >= 6 * n:
             break
     long_word = rule.project(words[seed])
-    stride = max(1, (len(long_word) - n) // max(windows - 1, 1))
+    stride = max(1, (len(long_word) - n) // (HULL_WINDOWS - 1))
     # Sturm counts at twice each midpoint (the matrix eigenvalue of a halved
     # energy) take the levels strictly below, a counting function those at or
     # below: the two differ only for a window level on a midpoint.  All
@@ -190,13 +191,13 @@ def _hull_gaps(rule, order, model, rel_threshold, windows=HULL_WINDOWS):
     # read by counting_function, to the last bit.
     xs = np.array([gap.lower + gap.upper for gap in gaps])
     chains = [build_chain(long_word[j * stride:j * stride + n], model)
-              for j in range(windows)]
+              for j in range(HULL_WINDOWS)]
     counts = _sturm_count(np.stack([c.onsite for c in chains], axis=1),
                           np.stack([c.hopping * c.hopping for c in chains], axis=1),
                           xs)
     fractions = [[int(c) / n for c in row] for row in counts]
     refined = [Gap(gap.lower, gap.upper, gap.width,
-                   sum(f[i] for f in fractions) / windows)
+                   sum(f[i] for f in fractions) / HULL_WINDOWS)
                for i, gap in enumerate(gaps)]
     return base, refined
 

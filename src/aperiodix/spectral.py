@@ -14,7 +14,9 @@ a windows axis, several chains of one length counted at the same shifts in
 one call.  An independent characteristic-polynomial oracle covers small
 sizes for cross-checks.  Where only the integrated density of states at a
 few energies is needed, as for the hull-averaged gap labels in `report`, a
-Sturm count at those energies gives it without a full spectrum.
+Sturm count at those energies gives it without a full spectrum.  Gaps are
+the wide spacings of a spectrum, found by one scan: detect_gaps reports each
+as it is, bulk_gaps merges pieces split by at most MAX_STRAYS boundary levels.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ PIVMIN = 1e-280
 BISECT_STEPS = 60
 STURM_BLOCK = 16  # sites per block of pivots; at most 255 (uint8 block counts)
 TWO_LEVEL_SHIFTS = 1536  # most distinct midpoints a pass takes two halvings for
+MAX_STRAYS = 2  # most stray levels between two detected pieces of one bulk gap
 
 
 @dataclass(frozen=True)
@@ -272,59 +275,49 @@ def counting_function(spectrum: EnergySpectrum, e: float) -> float:
     return float(np.searchsorted(spectrum.eigenvalues, e, side="right")) / spectrum.size
 
 
+def _wide_spacings(eigs: np.ndarray, rel_threshold: float) -> list[int]:
+    """Indices i of the spacings eigs[i + 1] - eigs[i] above rel_threshold (> 0)
+    times the median spacing, in increasing order."""
+    if not rel_threshold > 0:
+        raise ValueError(f"rel_threshold must be positive, got {rel_threshold}")
+    if len(eigs) < 16:
+        raise ValueError("need at least 16 eigenvalues")
+    diffs = np.diff(eigs)
+    return np.flatnonzero(diffs > rel_threshold * float(np.median(diffs))).tolist()
+
+
 def detect_gaps(spectrum: EnergySpectrum, rel_threshold: float = 10.0) -> list[Gap]:
     """Maximal spacings above rel_threshold (> 0) times the median spacing.
 
     The counting function is constant on each gap; its value i/N is the gap
     label input.
     """
-    if not rel_threshold > 0:
-        raise ValueError(f"rel_threshold must be positive, got {rel_threshold}")
     eigs = spectrum.eigenvalues
     n = len(eigs)
-    if n < 16:
-        raise ValueError("need at least 16 eigenvalues")
-    diffs = np.diff(eigs)
-    median = float(np.median(diffs))
-    gaps = []
-    for i, width in enumerate(diffs):
-        if width > rel_threshold * median:
-            gaps.append(Gap(float(eigs[i]), float(eigs[i + 1]), float(width),
-                            (i + 1) / n))
-    return gaps
+    return [Gap(float(eigs[i]), float(eigs[i + 1]), float(eigs[i + 1] - eigs[i]), (i + 1) / n)
+            for i in _wide_spacings(eigs, rel_threshold)]
 
 
-def bulk_gaps(spectrum: EnergySpectrum, rel_threshold: float = 10.0,
-              max_strays: int = 2) -> list[Gap]:
+def bulk_gaps(spectrum: EnergySpectrum, rel_threshold: float = 10.0) -> list[Gap]:
     """Gaps with free-boundary edge modes merged away.
 
     A free chain hosts up to one boundary state per end inside a bulk gap,
     splitting it into several detected pieces separated by single stray
-    eigenvalues.  Pieces separated by at most max_strays eigenvalues are
+    eigenvalues.  Pieces separated by at most MAX_STRAYS eigenvalues are
     merged; the strays are shared evenly between the spectrum below and
     above (spectral flow peels one state per edge), so the merged counting
     value is ((i_first + i_last)/2 + 1)/N.
     """
     eigs = spectrum.eigenvalues
     n = len(eigs)
-    raw = detect_gaps(spectrum, rel_threshold)
-    if not raw:
-        return []
-    indices = [round(g.ids_value * n) - 1 for g in raw]
-    merged = []
-    run = [0]
-    for t in range(1, len(raw)):
-        if indices[t] - indices[run[-1]] <= max_strays:
-            run.append(t)
+    runs: list[list[int]] = []  # [first, last] wide spacing of each merged run
+    for i in _wide_spacings(eigs, rel_threshold):
+        if runs and i - runs[-1][1] <= MAX_STRAYS:
+            runs[-1][1] = i
         else:
-            merged.append(run)
-            run = [t]
-    merged.append(run)
+            runs.append([i, i])
     out = []
-    for run in merged:
-        i_first, i_last = indices[run[0]], indices[run[-1]]
-        lower = raw[run[0]].lower
-        upper = raw[run[-1]].upper
-        ids = ((i_first + i_last) / 2 + 1) / n
-        out.append(Gap(lower, upper, upper - lower, ids))
+    for first, last in runs:
+        lower, upper = float(eigs[first]), float(eigs[last + 1])
+        out.append(Gap(lower, upper, upper - lower, ((first + last) / 2 + 1) / n))
     return out

@@ -23,13 +23,11 @@ from typing import Optional
 import numpy as np
 import sympy
 
-from .errors import AperiodixError, EmptyWord, LengthLimit, NotPrimitive
+from .errors import AperiodixError, LengthLimit, NotPrimitive
 from .exactla import mat_mul, perron_vector, transpose
 
 DEFAULT_LENGTH_CAP = 10**7
 LENGTH_CAP_ENV = "APERIODIX_LENGTH_CAP"
-
-PISOT_MARGIN = 1e-9
 
 
 def length_cap() -> int:
@@ -101,14 +99,6 @@ class OccurrenceMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    @property
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.size))
-
-    @property
-    def det(self) -> int:
-        return int_det([list(row) for row in self.entries])
-
     def array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
 
@@ -128,49 +118,6 @@ class PerronData:
     freq: np.ndarray
     lengths: np.ndarray
     beta: float
-
-
-@dataclass(frozen=True)
-class SubstitutionClass:
-    primitive: bool
-    pisot: bool
-    unimodular: bool
-    quasiperiodic: bool
-    common_unimodular: bool
-
-
-def int_det(m: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss)."""
-    n = len(m)
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def imat_pow(m: list[list[int]], n: int) -> list[list[int]]:
-    size = len(m)
-    result = [[int(i == j) for j in range(size)] for i in range(size)]
-    base = [row[:] for row in m]
-    while n > 0:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
 
 
 def occurrence_matrix(rule: SubstitutionRule) -> OccurrenceMatrix:
@@ -267,54 +214,7 @@ def _validate_perron(arr, lam, freq, lengths):
         raise ArithmeticError(f"length eigenvector residual {res_l:g}")
 
 
-def pisot_flags(m: OccurrenceMatrix) -> tuple[bool, bool]:
-    """(pisot, lambda1_factor_irreducible) from the exact spectrum.
-
-    A substitution counts as Pisot when lambda1 > 1 and every other root of
-    the characteristic polynomial has modulus < 1 (Rudin-Shapiro fails via
-    |lambda2| = sqrt(2)).  The second flag reports whether the full
-    characteristic polynomial is irreducible over Q.
-    """
-    lam1, f, others = perron_root(m)
-    pisot = float(lam1) > 1.0 and all(v < 1.0 - PISOT_MARGIN for v in others)
-    return pisot, len(f) == m.size + 1
-
-
-def has_common_affix(rule: SubstitutionRule) -> bool:
-    """All images share a first letter, or all share a last letter."""
-    firsts = {rule.images[c][0] for c in rule.alphabet}
-    lasts = {rule.images[c][-1] for c in rule.alphabet}
-    return len(firsts) == 1 or len(lasts) == 1
-
-
-def classify_substitution(rule: SubstitutionRule, delta_u: float,
-                          tol_delta: float = 0.1) -> SubstitutionClass:
-    """Primitive / Pisot / unimodular / quasiperiodic classification.
-
-    delta_u is the window-normalised fluctuation extent from the geometry
-    module; pass NaN to skip the quasiperiodicity test.
-    """
-    m = require_primitive(occurrence_matrix(rule))
-    pisot, _ = pisot_flags(m)
-    unimodular = abs(m.det) == 1
-    quasiperiodic = (not math.isnan(delta_u)) and abs(delta_u - 1.0) <= tol_delta
-    common = pisot and unimodular and has_common_affix(rule)
-    return SubstitutionClass(True, pisot, unimodular, quasiperiodic, common)
-
-
-def recurrence_sequence(m: OccurrenceMatrix, n: int) -> list[int]:
-    """F_0 = 0, F_1 = 1, F_{k+1} = tr(M) F_k - det(M) F_{k-1} (exact integers)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    t, p = m.trace, m.det
-    seq = [0, 1]
-    for _ in range(n - 1):
-        seq.append(t * seq[-1] - p * seq[-2])
-    return seq[: n + 1]
-
-
-def expansions(rule: SubstitutionRule, letters=None, prefix: Optional[int] = None,
-               cap: Optional[int] = None):
+def expansions(rule: SubstitutionRule, letters=None, prefix: Optional[int] = None):
     """Yield, for k = 0, 1, 2, ..., the dict c -> sigma^k(c) over `letters`
     (default the alphabet) and every letter they reach.
 
@@ -322,13 +222,13 @@ def expansions(rule: SubstitutionRule, letters=None, prefix: Optional[int] = Non
     words along each image.  With a prefix every word is cut to `prefix`
     letters at each level, exactly, since a cut word is whole or already
     `prefix` long.  Without one, LengthLimit is raised before a word of
-    `letters` longer than the cap (default length_cap()) is built.
+    `letters` longer than length_cap() is built.
     """
     wanted = tuple(letters or rule.alphabet)
     live = set(wanted)
     for _ in rule.alphabet:
         live |= {x for c in live for x in rule.images[c]}
-    limit = cap if cap is not None else length_cap()
+    limit = length_cap()
     words, total = {}, 1
     while True:
         if prefix is None and total > limit:
@@ -339,26 +239,13 @@ def expansions(rule: SubstitutionRule, letters=None, prefix: Optional[int] = Non
         total = max(sum(len(words[x]) for x in rule.images[c]) for c in wanted)
 
 
-def expand_word(rule: SubstitutionRule, seed: str, order: int,
-                cap: Optional[int] = None) -> str:
+def expand_word(rule: SubstitutionRule, seed: str, order: int) -> str:
     """sigma^order(seed) as a string, guarded by the length cap."""
     if seed not in rule.alphabet:
         raise ValueError(f"seed {seed!r} not in alphabet")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return next(islice(expansions(rule, (seed,), cap=cap), order, None))[seed]
-
-
-def letter_statistics(word: str) -> tuple[dict[str, int], dict[str, float]]:
-    """Per-letter counts and empirical frequencies of a word."""
-    if not word:
-        raise EmptyWord("cannot compute statistics of an empty word")
-    counts: dict[str, int] = {}
-    for c in word:
-        counts[c] = counts.get(c, 0) + 1
-    n = len(word)
-    freqs = {c: k / n for c, k in counts.items()}
-    return counts, freqs
+    return next(islice(expansions(rule, (seed,)), order, None))[seed]
 
 
 def least_period(word: str, max_period: int) -> int | None:

@@ -217,6 +217,27 @@ def test_generate_zero_denominator_slope_is_a_one_line_error(capsys):
     assert "1/0" in lines[0]
 
 
+@pytest.mark.parametrize("slope", ["-1/golden", "2/golden", "0.5/2", "abc"])
+def test_generate_malformed_slope_names_the_accepted_forms(capsys, slope):
+    code, out, err = run_cli(["generate", "--slope", slope], capsys)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aperiodix: error:")
+    assert '"p/q" with integers p and q, a decimal, or "1/golden"' in lines[0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gaps_refuses_non_finite_eigenvalues(tmp_path, capsys, value):
+    rows = [f"{i},{e:.15g}" for i, e in enumerate(np.linspace(-1.0, 1.0, 32))]
+    rows[5] = f"5,{value}"
+    path = tmp_path / "spectrum.csv"
+    path.write_text("index,eigenvalue\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run_cli(["gaps", "--family", "periodic", "--spectrum-file", str(path)],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"aperiodix: error: {path}: every eigenvalue must be finite"]
+
+
 def test_generate_cut_project_golden(capsys):
     code, out, _ = run_cli(["generate", "--slope", "1/golden", "--count", "8"],
                            capsys)

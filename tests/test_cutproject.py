@@ -6,7 +6,6 @@ import pytest
 from aperiodix.cutproject import (
     CPParams,
     check_periodicity,
-    chi,
     cp_word,
     golden_conjugate_slope,
     parse_slope,
@@ -32,15 +31,14 @@ def test_parse_slope_forms():
 def test_chi_half_slope():
     params = CPParams(Fraction(1, 2))
     for n in range(-6, 7):
-        assert chi(n, params) == (1 if n % 2 == 0 else -1)
+        assert cp_word(params, n) == ("a" if n % 2 == 0 else "b")
 
 
 def test_chi_golden_fibonacci_pattern():
     # direct evaluation of sgn[cos(2 pi n s) - cos(pi s)] at s = 1/golden
     # yields the Fibonacci word abaab over n = 0..4
     params = CPParams.from_text("1/golden")
-    signs = [chi(n, params) for n in range(5)]
-    assert signs == [1, -1, 1, 1, -1]
+    assert [cp_word(params, n) for n in range(5)] == ["a", "b", "a", "a", "b"]
     assert cp_word(params, 0, 5) == "abaab"
 
 
@@ -48,14 +46,14 @@ def test_chi_phason_periodicity():
     params = CPParams.from_text("1/golden", phason=1.25)
     shifted = CPParams.from_text("1/golden", phason=1.25 + 2 * math.pi)
     for n in range(50):
-        assert chi(n, params) == chi(n, shifted)
+        assert cp_word(params, n) == cp_word(shifted, n)
 
 
 def test_chi_exact_tie_resolves_positive():
     # s = 2/5: the bracket vanishes exactly at n = 3 mod 5
     params = CPParams(Fraction(2, 5))
-    assert chi(3, params) == 1
-    assert chi(8, params) == 1
+    assert cp_word(params, 3) == "a"
+    assert cp_word(params, 8) == "a"
 
 
 def test_cp_word_rational():

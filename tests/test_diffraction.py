@@ -10,7 +10,6 @@ from aperiodix.diffraction import (
     classify_spectrum,
     contrast_spectrum,
     contrast_weights,
-    fourier_amplitude,
     module_distance,
     peak_scaling,
     scaled_chain,
@@ -33,15 +32,20 @@ def unit_chain(n):
     return positions_from_word("a" * n, {"a": 1.0})
 
 
+def amplitude(chain, k):
+    """|sum_n exp(-i k x_n)|, read off the structure-factor grid that starts at k."""
+    return math.sqrt(structure_factor_grid(chain, k, k + 1.0, 2).S[0] * chain.n_atoms)
+
+
 def test_amplitude_at_zero_is_n():
     chain = unit_chain(100)
-    assert fourier_amplitude(chain, 0.0) == pytest.approx(100.0, abs=1e-9)
+    assert amplitude(chain, 0.0) == pytest.approx(100.0, abs=1e-9)
 
 
 def test_amplitude_alternating_cancellation():
     chain = AtomChain(np.array([0.0, 1.0, 2.0, 3.0]), "aaaa", 4.0, 1.0)
-    assert fourier_amplitude(chain, math.pi) == pytest.approx(0.0, abs=1e-12)
-    assert fourier_amplitude(chain, TWO_PI) == pytest.approx(4.0, abs=1e-12)
+    assert amplitude(chain, math.pi) == pytest.approx(0.0, abs=1e-12)
+    assert amplitude(chain, TWO_PI) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_structure_factor_grid_validation():
@@ -75,8 +79,7 @@ def test_periodic_comb_tails_small():
 def test_evenness_and_translation_invariance():
     chain = scaled_chain(builtin_rule("fibonacci"), 8)
     for k in (0.7, 2.2, 9.1):
-        assert fourier_amplitude(chain, k) == pytest.approx(
-            fourier_amplitude(chain, -k), abs=1e-9)
+        assert amplitude(chain, k) == pytest.approx(amplitude(chain, -k), abs=1e-9)
     shifted = AtomChain(chain.positions + 3.7, chain.tile_letters,
                         chain.total_length, chain.mean_spacing)
     spec0 = structure_factor_grid(chain, 0.1, 10.0, 64)

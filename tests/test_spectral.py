@@ -9,8 +9,10 @@ from aperiodix import spectral
 from aperiodix.errors import SizeLimit
 from aperiodix.spectral import (
     BISECT_STEPS,
+    MAX_STRAYS,
     PIVMIN,
     TWO_LEVEL_SHIFTS,
+    EnergySpectrum,
     HoppingModel,
     OnsiteModel,
     TightBindingChain,
@@ -324,6 +326,30 @@ def test_detect_gaps_fibonacci_main_ids():
 def test_detect_gaps_infinite_threshold():
     spec = eigenvalues_tridiag(build_chain("ab" * 20, OnsiteModel(0.0, 1.0)))
     assert detect_gaps(spec, rel_threshold=math.inf) == []
+
+
+@st.composite
+def gapped_spectra(draw):
+    """Sorted levels: unit-order spacings with up to eight wide ones put in."""
+    spacings = draw(st.lists(st.floats(0.5, 1.5), min_size=15, max_size=120))
+    for at, width in draw(st.lists(st.tuples(st.integers(0, len(spacings) - 1),
+                                             st.floats(20.0, 100.0)), max_size=8)):
+        spacings[at] = width
+    start = draw(st.floats(-10.0, 10.0))
+    return EnergySpectrum(start + np.cumsum([0.0, *spacings]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(gapped_spectra())
+def test_bulk_gaps_merge_only_close_pieces(spectrum):
+    levels = spectrum.eigenvalues.tolist()
+    pieces = detect_gaps(spectrum)
+    merged = bulk_gaps(spectrum)
+    at = [levels.index(g.lower) for g in pieces]
+    if all(j - i > MAX_STRAYS for i, j in zip(at, at[1:])):
+        assert merged == pieces
+    for gap in merged:
+        assert gap.lower in levels and gap.upper in levels
 
 
 @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])

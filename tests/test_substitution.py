@@ -1,26 +1,24 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from aperiodix.errors import EmptyWord, LengthLimit, NotPrimitive
+from aperiodix.errors import LengthLimit, NotPrimitive
+from aperiodix.exactla import imat_pow
 from aperiodix.substitution import (
     BUILTIN_RULES,
+    LENGTH_CAP_ENV,
     OccurrenceMatrix,
     SubstitutionRule,
     builtin_rule,
-    classify_substitution,
     expand_word,
-    imat_pow,
     is_primitive,
-    letter_statistics,
     occurrence_matrix,
     perron_data,
-    pisot_flags,
-    recurrence_sequence,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -61,6 +59,7 @@ def test_perron_data_is_exact():
     # equal tiles come out equal, and the golden tile correctly rounded
     rs = perron_data(occurrence_matrix(builtin_rule("rudin-shapiro")))
     assert rs.lengths.tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert rs.lambda2_abs == pytest.approx(math.sqrt(2), abs=1e-12)
     fib = perron_data(occurrence_matrix(builtin_rule("fibonacci")))
     assert fib.lengths[0] == (1 + math.sqrt(5)) / 2
 
@@ -125,52 +124,6 @@ def test_perron_eigen_residuals():
         assert pd.lambda1 > pd.lambda2_abs
 
 
-def test_classify_fibonacci():
-    cls = classify_substitution(builtin_rule("fibonacci"), delta_u=1.0)
-    assert cls.primitive and cls.pisot and cls.unimodular
-    assert cls.quasiperiodic and cls.common_unimodular
-
-
-def test_classify_thue_morse():
-    cls = classify_substitution(builtin_rule("thue-morse"), delta_u=math.nan)
-    assert cls.pisot
-    assert not cls.unimodular
-    assert not cls.common_unimodular
-
-
-def test_classify_rudin_shapiro_not_pisot():
-    # second eigenvalue modulus sqrt(2) > 1
-    m = occurrence_matrix(builtin_rule("rudin-shapiro"))
-    pisot, _ = pisot_flags(m)
-    assert not pisot
-    assert perron_data(m).lambda2_abs == pytest.approx(math.sqrt(2), abs=1e-12)
-    cls = classify_substitution(builtin_rule("rudin-shapiro"), delta_u=math.nan)
-    assert not cls.pisot and not cls.common_unimodular
-
-
-def test_classify_invariant_under_relabeling():
-    fib = builtin_rule("fibonacci")
-    swapped = SubstitutionRule(("b", "a"), {"b": "ba", "a": "b"})  # a<->b renamed
-    c1 = classify_substitution(fib, delta_u=math.nan)
-    c2 = classify_substitution(swapped, delta_u=math.nan)
-    assert (c1.primitive, c1.pisot, c1.unimodular) == (c2.primitive, c2.pisot, c2.unimodular)
-
-
-def test_recurrence_fibonacci():
-    m = occurrence_matrix(builtin_rule("fibonacci"))
-    assert recurrence_sequence(m, 6) == [0, 1, 1, 2, 3, 5, 8]
-
-
-def test_recurrence_thue_morse():
-    m = occurrence_matrix(builtin_rule("thue-morse"))
-    assert recurrence_sequence(m, 4) == [0, 1, 2, 4, 8]
-
-
-def test_recurrence_seed_values():
-    m = occurrence_matrix(builtin_rule("period-doubling"))
-    assert recurrence_sequence(m, 1) == [0, 1]
-
-
 def test_expand_word_examples():
     fib = builtin_rule("fibonacci")
     assert expand_word(fib, "a", 3) == "abaab"
@@ -178,9 +131,10 @@ def test_expand_word_examples():
     assert expand_word(builtin_rule("thue-morse"), "a", 2) == "abba"
 
 
-def test_expand_word_length_cap():
+def test_expand_word_length_cap(monkeypatch):
+    monkeypatch.setenv(LENGTH_CAP_ENV, "1000")
     with pytest.raises(LengthLimit):
-        expand_word(builtin_rule("thue-morse"), "a", 30, cap=1000)
+        expand_word(builtin_rule("thue-morse"), "a", 30)
 
 
 def _expand_letter_by_letter(rule, seed, order):
@@ -204,9 +158,12 @@ def test_expand_word_matches_letter_by_letter(case):
     rule, seed, order = case
     word = _expand_letter_by_letter(rule, seed, order)
     assert expand_word(rule, seed, order) == word
-    assert expand_word(rule, seed, order, cap=len(word)) == word
-    with pytest.raises(LengthLimit):
-        expand_word(rule, seed, order, cap=len(word) - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(LENGTH_CAP_ENV, str(len(word)))
+        assert expand_word(rule, seed, order) == word
+        mp.setenv(LENGTH_CAP_ENV, str(len(word) - 1))
+        with pytest.raises(LengthLimit):
+            expand_word(rule, seed, order)
 
 
 def test_expand_word_builds_only_the_letters_it_reaches():
@@ -228,25 +185,11 @@ def test_word_lengths_match_matrix_powers():
 def test_fibonacci_lengths_shift_recurrence():
     # |sigma^n(a)| = F_{n+2} exactly
     fib = builtin_rule("fibonacci")
-    m = occurrence_matrix(fib)
-    seq = recurrence_sequence(m, 22)
+    seq = [0, 1]
+    while len(seq) < 23:
+        seq.append(seq[-1] + seq[-2])
     for n in range(21):
         assert len(expand_word(fib, "a", n)) == seq[n + 2]
-
-
-def test_letter_statistics_examples():
-    counts, freqs = letter_statistics("abaab")
-    assert counts == {"a": 3, "b": 2}
-    counts, freqs = letter_statistics("aaaa")
-    assert freqs == {"a": 1.0}
-    with pytest.raises(EmptyWord):
-        letter_statistics("")
-
-
-def test_letter_statistics_fibonacci_order_20():
-    word = expand_word(builtin_rule("fibonacci"), "a", 20)
-    _, freqs = letter_statistics(word)
-    assert abs(freqs["a"] - 1 / GOLDEN) < 1e-6
 
 
 def test_frequency_convergence_rate():
@@ -257,8 +200,8 @@ def test_frequency_convergence_rate():
         errors = []
         for n in range(5, 16):
             word = expand_word(rule, rule.alphabet[0], n)
-            _, freqs = letter_statistics(word)
-            err = max(abs(freqs.get(c, 0.0) - pd.freq[i])
+            counts = Counter(word)
+            err = max(abs(counts[c] / len(word) - pd.freq[i])
                       for i, c in enumerate(rule.alphabet))
             errors.append(err)
         ratio = pd.lambda2_abs / pd.lambda1
