@@ -170,7 +170,14 @@ def cmd_gaps(args) -> int:
         if any(len(r) < 2 for r in rows):
             raise AperiodixError(f"{args.spectrum_file}: every row after the header "
                                  "must read index,eigenvalue")
-        eigs = np.array([float(r[1]) for r in rows])
+        eigs = []
+        for r in rows:
+            try:
+                eigs.append(float(r[1]))
+            except ValueError:
+                raise AperiodixError(f"{args.spectrum_file}: row {','.join(r)!r} has a "
+                                     "non-numeric eigenvalue") from None
+        eigs = np.array(eigs)
         if not np.isfinite(eigs).all():
             raise AperiodixError(f"{args.spectrum_file}: every eigenvalue must be finite")
         gaps = bulk_gaps(EnergySpectrum(np.sort(eigs)), args.rel_threshold)

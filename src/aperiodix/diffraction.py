@@ -16,7 +16,8 @@ amplitudes (contrast spectra, the classification grid, peak scaling) use the
 substitution's self-similarity instead: sigma^n(s) is a run of supertiles
 sigma^m(c), m = n // 2, each placed at the chain's own position of its start,
 so one k costs about 2 sqrt(N) exponentials instead of N
-(_supertile_amplitude).
+(_supertile_amplitude).  One rule-level call solves the rule's Perron data
+once and expands its words once for all its orders (_contrast_chains).
 
 Growth exponents gamma are fitted on S(k*) ~ L^gamma (Bragg peaks saturate
 at gamma = 1, the principal Thue-Morse peak at log2(3) - 1).
@@ -30,9 +31,9 @@ from itertools import islice
 
 import numpy as np
 
-from .geometry import AtomChain, chain_from_rule
+from .geometry import AtomChain, chain_from_rule, letter_indices, rule_chain
 from .groups import DEFAULT_N_MAX, DEFAULT_Q_MAX, LabelGroup, nearest_element
-from .substitution import SubstitutionRule, expansions
+from .substitution import SubstitutionRule, expansions, occurrence_matrix, perron_data
 
 TWO_PI = 2 * math.pi
 
@@ -45,7 +46,7 @@ CLASSIFY_K_MAX = 4 * math.pi
 CLASSIFY_SAMPLES = 2048
 MAX_PEAKS = 6
 # iterated grid zoom of each peak window
-ZOOM_ROUNDS = 5
+ZOOM_ROUNDS = 3
 ZOOM_POINTS = 65
 
 
@@ -123,10 +124,12 @@ def _grid_amplitudes(positions: np.ndarray, weights, ks: np.ndarray) -> np.ndarr
     return out
 
 
-def _supertile_amplitude(rule: SubstitutionRule, order: int,
+def _supertile_amplitude(rule: SubstitutionRule, levels, order: int,
                          positions: np.ndarray, weights):
     """k-vector -> |sum w_n exp(-i k x_n)| over the chain of sigma^order, by supertiles.
 
+    levels[j] maps each letter c to sigma^j(c), for j up to order, from
+    substitution.expansions of the chain's seed rule.alphabet[0].
     sigma^order(s) = sigma^m(sigma^(order-m)(s)) with m = order // 2, so the
     chain is a run of supertiles sigma^m(c) along the coarse word, and
     G(k) = sum_c F_c(k) P_c(k): F_c sums one c-supertile (the chain's own
@@ -138,16 +141,15 @@ def _supertile_amplitude(rule: SubstitutionRule, order: int,
     round the same cumulative positions.
     """
     m = order // 2
-    levels = list(islice(expansions(rule), order - m + 1))
-    size = {c: len(w) for c, w in levels[m].items()}
-    coarse = np.array(list(levels[-1][rule.alphabet[0]]))
-    sizes = np.array([size[c] for c in coarse])
+    coarse = letter_indices(levels[order - m][rule.alphabet[0]], rule.alphabet)
+    size = np.array([len(levels[m][c]) for c in rule.alphabet])
+    sizes = size[coarse]
     starts = np.cumsum(sizes) - sizes
     parts = []
-    for c in rule.alphabet:
-        at = starts[coarse == c]
+    for i in range(len(rule.alphabet)):
+        at = starts[coarse == i]
         if len(at):
-            tile = slice(at[0], at[0] + size[c])
+            tile = slice(at[0], at[0] + size[i])
             parts.append((positions[tile] - positions[at[0]],
                           None if weights is None else weights[tile],
                           positions[at]))
@@ -162,15 +164,19 @@ def _supertile_amplitude(rule: SubstitutionRule, order: int,
 
 # -- species contrast ---------------------------------------------------------
 
-def contrast_weights(chain: AtomChain, species: str = "a") -> np.ndarray:
-    """Indicator of the given tile letter minus its mean (sums to zero)."""
-    marks = np.array([1.0 if c == species else 0.0 for c in chain.tile_letters])
+def contrast_weights(chain: AtomChain) -> np.ndarray:
+    """Indicator of tile letter a minus its mean (sums to zero)."""
+    codes = np.frombuffer(chain.tile_letters.encode("utf-32-le"), dtype="<u4")
+    marks = (codes == ord("a")).astype(float)
     return marks - marks.mean()
 
 
 def scaled_chain(rule: SubstitutionRule, order: int) -> AtomChain:
     """Perron-length chain rescaled to unit mean spacing (k in units of 1/dbar)."""
-    chain = chain_from_rule(rule, order)
+    return _unit_spacing(chain_from_rule(rule, order))
+
+
+def _unit_spacing(chain: AtomChain) -> AtomChain:
     d = chain.mean_spacing
     return AtomChain(chain.positions / d, chain.tile_letters,
                      chain.total_length / d, 1.0)
@@ -178,13 +184,25 @@ def scaled_chain(rule: SubstitutionRule, order: int) -> AtomChain:
 
 def contrast_spectrum(rule: SubstitutionRule, order: int, k_min: float,
                       k_max: float, samples: int) -> DiffractionSpectrum:
-    return _grid_spectrum(*_contrast_chain(rule, order), k_min, k_max, samples)
+    return _grid_spectrum(*_contrast_chains(rule, (order,))[order], k_min, k_max, samples)
 
 
-def _contrast_chain(rule: SubstitutionRule, order: int):
-    """The scaled chain of one order with its contrast amplitude k-vector -> |G|."""
-    chain = scaled_chain(rule, order)
-    return chain, _supertile_amplitude(rule, order, chain.positions,
+def _contrast_chains(rule: SubstitutionRule, orders) -> dict:
+    """order -> (scaled chain, contrast amplitude k-vector -> |G|) for every order.
+
+    The rule's Perron data is solved once and its words are expanded in one
+    pass up to the largest order; every order's chain and supertiles are
+    read from those.
+    """
+    pd = perron_data(occurrence_matrix(rule))
+    levels = list(islice(expansions(rule, rule.alphabet[:1]), max(orders) + 1))
+    return {order: _contrast_chain(rule, pd, levels, order) for order in sorted(set(orders))}
+
+
+def _contrast_chain(rule: SubstitutionRule, pd, levels, order: int):
+    """The scaled chain of one order with its contrast amplitude."""
+    chain = _unit_spacing(rule_chain(rule, pd, levels[order][rule.alphabet[0]]))
+    return chain, _supertile_amplitude(rule, levels, order, chain.positions,
                                        contrast_weights(chain))
 
 
@@ -226,8 +244,8 @@ def peak_scaling(rule: SubstitutionRule, k_star: float, orders,
     singular continuous gamma in [0.2, 0.95).
     """
     orders = tuple(orders)
-    chains = {order: _contrast_chain(rule, order) for order in set(orders)}
-    return _peak_scaling(chains, orders, [k_star], refine_halfwidth)[0]
+    return _peak_scaling(_contrast_chains(rule, orders), orders, [k_star],
+                         refine_halfwidth)[0]
 
 
 def _peak_scaling(chains, orders: tuple[int, ...], k_stars: list[float],
@@ -277,7 +295,7 @@ def classify_spectrum(rule: SubstitutionRule, orders) -> SpectrumClassification:
     nothing qualifies at all.
     """
     orders = tuple(orders)
-    chains = {order: _contrast_chain(rule, order) for order in set(orders)}
+    chains = _contrast_chains(rule, orders)
     spectrum = _grid_spectrum(*chains[max(orders)], CLASSIFY_K_MIN, CLASSIFY_K_MAX,
                               CLASSIFY_SAMPLES)
     ks, svals = spectrum.k_values, spectrum.S

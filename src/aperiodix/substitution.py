@@ -63,7 +63,7 @@ class SubstitutionRule:
         """Project a word over the full alphabet onto the two-tile alphabet."""
         if not self.tiles:
             return word
-        return "".join(self.tiles[c] for c in word)
+        return word.translate(str.maketrans(self.tiles))
 
     def to_json(self) -> str:
         data = {"name": self.name, "alphabet": list(self.alphabet),

@@ -151,6 +151,7 @@ NOT_PRIMITIVE = '{"images": {"a": "aab", "b": "b"}, "alphabet": ["a", "b"]}'
     ("cohomology", "--rule-file", '{"alphabet": ["a", "b"]}'),
     ("trace", "--rule-file", "[1, 2]"),
     ("gaps", "--spectrum-file", "index,eigenvalue\n0 0.5\n"),
+    ("gaps", "--spectrum-file", "index,eigenvalue\n6,0.5\n7,x\n"),
     ("bloch", "--gaps-file", '{"gaps": [{"lower": 0.1}]}'),
     ("diffract --contrast", "--samples", "0"),
     ("diffract --contrast --kmax 1", "--kmin", "3"),
@@ -236,6 +237,16 @@ def test_gaps_refuses_non_finite_eigenvalues(tmp_path, capsys, value):
                              capsys)
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"aperiodix: error: {path}: every eigenvalue must be finite"]
+
+
+def test_gaps_names_the_row_of_a_non_numeric_eigenvalue(tmp_path, capsys):
+    path = tmp_path / "spectrum.csv"
+    path.write_text("index,eigenvalue\n6,0.5\n7,x\n", encoding="utf-8")
+    code, out, err = run_cli(["gaps", "--family", "periodic", "--spectrum-file", str(path)],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"aperiodix: error: {path}: row '7,x' has a non-numeric eigenvalue"]
 
 
 def test_generate_cut_project_golden(capsys):

@@ -1,11 +1,12 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from aperiodix import diffraction
+from aperiodix import diffraction, geometry
 from aperiodix.diffraction import (
     classify_spectrum,
     contrast_spectrum,
@@ -20,8 +21,10 @@ from aperiodix.groups import localized_group
 from aperiodix.substitution import (
     SubstitutionRule,
     builtin_rule,
+    expansions,
     is_primitive,
     occurrence_matrix,
+    perron_data,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -198,20 +201,39 @@ def test_grid_amplitude_of_a_k_does_not_depend_on_the_grid():
 
 def test_classify_builds_each_chain_once(monkeypatch):
     built = []
+    contrast_chain = diffraction._contrast_chain
 
-    def counting_scaled_chain(rule, order):
+    def counting_contrast_chain(rule, pd, levels, order):
         built.append(order)
-        return scaled_chain(rule, order)
+        return contrast_chain(rule, pd, levels, order)
 
-    monkeypatch.setattr(diffraction, "scaled_chain", counting_scaled_chain)
+    monkeypatch.setattr(diffraction, "_contrast_chain", counting_contrast_chain)
     cls = classify_spectrum(builtin_rule("fibonacci"), orders=(8, 9, 10, 11))
     assert len(cls.peaks) > 1
     assert sorted(built) == [8, 9, 10, 11]
 
 
+@pytest.mark.parametrize("call", [
+    lambda rule: classify_spectrum(rule, orders=(8, 9, 10, 11)),
+    lambda rule: peak_scaling(rule, TWO_PI / GOLDEN, range(8, 17))],
+    ids=["classify_spectrum", "peak_scaling"])
+def test_one_perron_solve_per_call(monkeypatch, call):
+    # every order's chain takes its tile lengths from one exact solve
+    solves = []
+
+    def counting_perron_data(m):
+        solves.append(m)
+        return perron_data(m)
+
+    for module in (diffraction, geometry):
+        monkeypatch.setattr(module, "perron_data", counting_perron_data)
+    call(builtin_rule("fibonacci"))
+    assert len(solves) == 1
+
+
 def direct_amplitudes(positions, weights, ks):
     """The oracle: |sum_n w_n exp(-i k x_n)| over every atom, no factorisation."""
-    return np.abs((weights[None, :] * np.exp(-1j * np.outer(ks, positions))).sum(axis=1))
+    return np.array([abs((weights * np.exp(-1j * k * positions)).sum()) for k in ks])
 
 
 @st.composite
@@ -229,13 +251,14 @@ def primitive_rules(draw):
 
 @settings(max_examples=60, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@given(primitive_rules(), st.integers(0, 6))
+@given(primitive_rules(), st.integers(0, 10))
 def test_supertile_amplitude_equals_direct_sum(rule, order):
     # orders 0 and 1 have m = 0; order 0 has the one-letter coarse word
     chain = scaled_chain(rule, order)
+    levels = list(islice(expansions(rule, rule.alphabet[:1]), order + 1))
     ks = np.linspace(0.0, 4 * math.pi, 129)
     for weights in (contrast_weights(chain), None):   # contrast and plain
-        amp = diffraction._supertile_amplitude(rule, order, chain.positions, weights)
+        amp = diffraction._supertile_amplitude(rule, levels, order, chain.positions, weights)
         s_fact = amp(ks) ** 2 / chain.n_atoms
         direct = direct_amplitudes(
             chain.positions, np.ones(chain.n_atoms) if weights is None else weights, ks)
@@ -248,7 +271,7 @@ def test_supertile_amplitude_equals_direct_sum(rule, order):
     ("period-doubling", 14), ("rudin-shapiro", 14)])
 def test_contrast_amplitude_equals_whole_chain_sum(family, order):
     # the diffraction benchmark's orders; the whole-chain sum is the oracle
-    chain, amp = diffraction._contrast_chain(builtin_rule(family), order)
+    chain, amp = diffraction._contrast_chains(builtin_rule(family), (order,))[order]
     ks = np.linspace(0.05, 4 * math.pi, 512)
     s_fact = amp(ks) ** 2 / chain.n_atoms
     whole = diffraction._grid_amplitudes(chain.positions, contrast_weights(chain), ks)
