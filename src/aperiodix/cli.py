@@ -38,6 +38,11 @@ from .substitution import (
 from .svgplot import Series, render_svg
 
 
+REL_THRESHOLD_HELP = ("least gap width, in level spacings: rule-backed gaps measure it "
+                      "against the approximant's mean level spacing, --spectrum-file "
+                      "against the median spacing of the file's levels")
+
+
 def fmt(x: float) -> str:
     return f"{x:.15g}"
 
@@ -251,12 +256,11 @@ def cmd_bloch(args) -> int:
     _write(to_json(data), args.out)
     if args.svg:
         spec = report.diffraction
-        eigs = report.spectrum
-        n = eigs.size
+        energies, ids = report.counting
         top = [Series(tuple(float(k) for k in spec.k_values),
                       tuple(float(s) for s in spec.S))]
-        bottom = [Series(tuple(float(e) for e in eigs.eigenvalues),
-                         tuple((i + 1) / n for i in range(n)), color="#d62728")]
+        bottom = [Series(tuple(float(e) for e in energies),
+                         tuple(float(x) for x in ids), color="#d62728")]
         _write(render_svg([(top, "k", "S(k)"),
                            (bottom, "e", "N(e)")]), args.svg)
     return 0
@@ -331,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rule_args(p)
     _add_model_args(p)
     p.add_argument("--order", type=int, default=10)
-    p.add_argument("--rel-threshold", type=float, default=10.0)
+    p.add_argument("--rel-threshold", type=float, default=10.0, help=REL_THRESHOLD_HELP)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--q-max", type=int, default=30)
     p.add_argument("--nmax", type=int, default=10)
@@ -352,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bloch", help="gap-label / trace / Bragg correspondence")
     p.add_argument("--family", choices=FAMILY_NAMES, required=True)
-    p.add_argument("--rel-threshold", type=float, default=10.0)
+    p.add_argument("--rel-threshold", type=float, default=10.0, help=REL_THRESHOLD_HELP)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--q-max", type=int, default=30)
     p.add_argument("--nmax", type=int, default=10)

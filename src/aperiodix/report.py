@@ -1,35 +1,32 @@
 """Assembles the gap-label / cohomology-trace / Bragg-module correspondence.
 
 For one family this computes the cohomology trace image once and checks two
-things against it: the gap labels of the tight-binding spectrum, and the
+things against it: the gap labels of the tight-binding chain, and the
 Bragg peaks of the scaling classification of the diffraction (2 pi times
 the trace image holds every Bragg frequency; the relation is inclusion, not
 equality).  It reports whether the structural and spectral data tell the
 same story.  Verdicts are derived only from stored residuals and thresholds,
 so a report is recomputable and byte-stable.
+
+The gaps are those of the periodic approximant with period word
+sigma^n(a), found with no eigen-solve by a scan of its lifted count
+(spectral.lifted_counts): on a gap its integrated density of states is
+exactly j/N, the paper's Bloch theorem for a periodic chain.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .cohomology import trace_image
 from .diffraction import DiffractionSpectrum, classify_spectrum, module_distance
 from .groups import GroupElement, LabelGroup, nearest_element
-from .spectral import (
-    EnergySpectrum,
-    Gap,
-    OnsiteModel,
-    _sturm_count,
-    build_chain,
-    bulk_gaps,
-    eigenvalues_tridiag,
-)
-from .substitution import builtin_rule, expansions
+from .spectral import Gap, OnsiteModel, approximant, lifted_counts
+from .substitution import builtin_rule
 
 SCHEMA_VERSION = 1
 
@@ -41,7 +38,9 @@ DEFAULT_SPECTRAL_ORDER = {
     "rudin-shapiro": 10,
 }
 DEFAULT_DIFFRACTION_ORDERS = (8, 10, 12, 14)
-HULL_WINDOWS = 16
+MIN_PERIOD = 16  # fewest letters of a period word whose gaps are looked for
+REFINE_POINTS = 15  # shifts per edge bracket and pass of the edge refinement
+REFINE_PASSES = 14  # most passes; 4 bits a pass reach a bracket of adjacent floats
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,8 @@ class CorrespondenceReport:
     spectral_order: int
     diffraction_orders: tuple[int, ...]
     tol: float
-    # the order-spectral_order chain's spectrum the gaps were found in
-    spectrum: EnergySpectrum = field(compare=False, repr=False)
+    # halved energies and j/N at the ends of the approximant scan's runs
+    counting: tuple = field(compare=False, repr=False)
     # the top diffraction order's contrast grid the peaks were picked from
     diffraction: DiffractionSpectrum = field(compare=False, repr=False)
 
@@ -81,8 +80,8 @@ def bloch_report(family: str, model=None, tol: float = 1e-3, q_max: int = 30,
                  n_max: int = 10, rel_threshold: float = 10.0) -> CorrespondenceReport:
     """Gap labels and Bragg peaks against the trace image of a built-in family.
 
-    The gaps come from the family's DEFAULT_SPECTRAL_ORDER chain, the peaks
-    from the DEFAULT_DIFFRACTION_ORDERS classification.  Each gap's counting
+    The gaps come from the family's DEFAULT_SPECTRAL_ORDER approximant, the
+    peaks from the DEFAULT_DIFFRACTION_ORDERS classification.  Each gap's counting
     value and each diffraction peak's k / 2 pi is matched to its nearest
     trace-image element under the same coordinate bounds; a Bragg peak
     counts as in the module within two grid cells.  Only inclusion is
@@ -102,7 +101,7 @@ def bloch_report(family: str, model=None, tol: float = 1e-3, q_max: int = 30,
 
     trace = trace_image(rule)
 
-    spectrum, gaps = _hull_gaps(rule, order, model, rel_threshold)
+    counting, gaps = _approximant_gaps(rule, order, model, rel_threshold)
     gap_labels = []
     for gap in gaps:
         element, residual = nearest_element(gap.ids_value, trace, q_max=q_max,
@@ -134,7 +133,7 @@ def bloch_report(family: str, model=None, tol: float = 1e-3, q_max: int = 30,
         spectral_order=order,
         diffraction_orders=orders,
         tol=tol,
-        spectrum=spectrum,
+        counting=counting,
         diffraction=classification.spectrum,
     )
 
@@ -150,56 +149,86 @@ def module_for_family(family: str) -> LabelGroup:
 
 def hull_averaged_gaps(rule, order: int, model=None,
                        rel_threshold: float = 10.0) -> list[Gap]:
-    """Spectral gaps with counting values averaged over hull windows.
+    """The gaps of the periodic approximant with period word sigma^order(a).
 
-    A single free chain miscounts some gap labels by one state (boundary
-    spectral flow), which matters at tolerances near 1/N.  Gap positions come
-    from the full spectrum of the order-`order` chain; each gap's counting
-    value is then averaged over same-length windows cut from a longer
-    expansion (HULL_WINDOWS of them), where the +-1 boundary terms
-    equidistribute and cancel.  A window's counting value at the gap midpoint
-    is one Sturm count per gap, so no window spectrum is solved, and all
-    windows are counted at every gap midpoint in one Sturm call along its
-    windows axis.
+    The name and call form are kept on purpose: perfbench/workloads.py
+    (bloch_parts) calls it.  Nothing is averaged over the hull: a periodic
+    chain has no edge modes, and its counting value on a gap is exactly j/N
+    (see _approximant_gaps).
     """
-    return _hull_gaps(rule, order, model, rel_threshold)[1]
+    return _approximant_gaps(rule, order, model, rel_threshold)[1]
 
 
-def _hull_gaps(rule, order, model, rel_threshold):
-    """The base spectrum and the hull-averaged gaps found in it."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    model = model if model is not None else OnsiteModel(0.0, 1.0)
-    seed = rule.alphabet[0]
-    levels = islice(expansions(rule, (seed,)), order, order + 13)
-    word = rule.project(next(levels)[seed])
-    n = len(word)
-    base = eigenvalues_tridiag(build_chain(word, model))
-    gaps = bulk_gaps(base, rel_threshold)
-    if not gaps:
-        return base, []
-    for words in levels:
-        if len(words[seed]) >= 6 * n:
+def _approximant_gaps(rule, order, model, rel_threshold):
+    """(curve, gaps) of the approximant, found by a scan of its lifted count.
+
+    The shift x = 2e runs over a grid of the approximant's Gershgorin
+    interval.  At each grid point spectral.lifted_counts gives the count j
+    per period where it certifies one (hyperbolic transfer matrix, integral
+    rotation number), which holds in a gap and not in a band.  A gap is a
+    maximal run of certified points with one j, 0 < j < N.  Each run's
+    edges are refined in all runs at once by multisection on the same
+    predicate: REFINE_POINTS points inside each edge's bracket per pass,
+    until the brackets stop shrinking.  rel_threshold is measured against
+    the mean level spacing, the interval's width over N, and the grid step
+    is at most half that width, so no gap wider than it is missed.  Each
+    gap's ids is j/N exactly.  curve holds the halved energies and j/N at
+    the ends of every run, at most N points, for the N(e) plot.
+    """
+    if not rel_threshold > 0:
+        raise ValueError(f"rel_threshold must be positive, got {rel_threshold}")
+    appr = approximant(rule, order, model if model is not None else OnsiteModel(0.0, 1.0))
+    n = appr.size
+    if n < MIN_PERIOD:
+        raise ValueError(f"need a period word of at least {MIN_PERIOD} letters, "
+                         f"got {n} at order {order}")
+    span = appr.upper - appr.lower
+    threshold = rel_threshold * span / n
+    xs = np.linspace(appr.lower, appr.upper, max(n, math.ceil(2 * n / rel_threshold)) + 1)
+    counts = lifted_counts(appr, xs)
+    j, certified = counts.periodic, counts.certified
+    # runs: maximal stretches of certified grid points with one count (an
+    # uncertified point counts -1)
+    change = j[1:] != j[:-1]
+    start = np.flatnonzero(certified & np.r_[True, change])
+    stop = np.flatnonzero(certified & np.r_[change, True])
+    ends = np.unique(np.r_[start, stop])
+    ends = ends[::max(1, -(-len(ends) // n))]
+    curve = (0.5 * xs[ends], j[ends] / n)
+    inner = (j[start] > 0) & (j[start] < n) & (start > 0) & (stop < len(xs) - 1)
+    start, stop = start[inner], stop[inner]
+    # a run whose outer neighbours are under the threshold apart is no gap
+    wide = xs[stop + 1] - xs[start - 1] > threshold
+    start, stop = start[wide], stop[wide]
+    labels = j[start]
+    lower, upper = _refine(appr, xs[np.r_[start, stop]], xs[np.r_[start - 1, stop + 1]],
+                           np.r_[labels, labels]).reshape(2, -1)
+    gaps = [Gap(0.5 * lo, 0.5 * up, 0.5 * up - 0.5 * lo, int(label) / n)
+            for lo, up, label in zip(lower, upper, labels) if up - lo > threshold]
+    return curve, gaps
+
+
+def _refine(appr, inside, outside, labels):
+    """Each gap edge moved from its certified shift `inside` towards `outside`,
+    the nearest shift known to lie past the edge, while the count stays
+    certified at its label: REFINE_POINTS evenly spaced shifts per bracket
+    and pass, all brackets in one lifted_counts call, until none shrinks."""
+    steps = np.arange(1, REFINE_POINTS + 1) / (REFINE_POINTS + 1)
+    rows = np.arange(len(inside))
+    for _ in range(REFINE_PASSES):
+        points = np.column_stack([inside, inside[:, None] + (outside - inside)[:, None] * steps,
+                                  outside])
+        counts = lifted_counts(appr, points[:, 1:-1].ravel())
+        held = counts.certified & (counts.periodic == np.repeat(labels, REFINE_POINTS))
+        # the first shift, from the inside, where the gap no longer holds
+        first = np.argmin(np.column_stack([np.ones(len(rows), dtype=bool),
+                                           held.reshape(-1, REFINE_POINTS),
+                                           np.zeros(len(rows), dtype=bool)]), axis=1)
+        if np.array_equal(points[rows, first - 1], inside) and np.array_equal(
+                points[rows, first], outside):
             break
-    long_word = rule.project(words[seed])
-    stride = max(1, (len(long_word) - n) // (HULL_WINDOWS - 1))
-    # Sturm counts at twice each midpoint (the matrix eigenvalue of a halved
-    # energy) take the levels strictly below, a counting function those at or
-    # below: the two differ only for a window level on a midpoint.  All
-    # windows have n sites and are counted in one call along a windows axis.
-    # Summing count/n window by window keeps the ids those of window spectra
-    # read by counting_function, to the last bit.
-    xs = np.array([gap.lower + gap.upper for gap in gaps])
-    chains = [build_chain(long_word[j * stride:j * stride + n], model)
-              for j in range(HULL_WINDOWS)]
-    counts = _sturm_count(np.stack([c.onsite for c in chains], axis=1),
-                          np.stack([c.hopping * c.hopping for c in chains], axis=1),
-                          xs)
-    fractions = [[int(c) / n for c in row] for row in counts]
-    refined = [Gap(gap.lower, gap.upper, gap.width,
-                   sum(f[i] for f in fractions) / HULL_WINDOWS)
-               for i, gap in enumerate(gaps)]
-    return base, refined
+        inside, outside = points[rows, first - 1], points[rows, first]
+    return inside
 
 
 def round15(x: float) -> float:

@@ -14,14 +14,21 @@ as many halvings per sweep as fit under TWO_LEVEL_SHIFTS).  A bracket that
 holds only its own eigenvalue (isolation) shrinks by safeguarded Newton
 steps, the slope sum taken in the same pivot loop; a converged iterate is
 certified by counting just either side of it, and the finishing halvings
-count only the midpoints inside that tight bracket.  The Sturm count also
-takes a windows axis, several chains of one length counted at the same
-shifts in one call.  An independent characteristic-polynomial oracle covers
-small sizes for cross-checks.  Where only the integrated density of states
-at a few energies is needed, as for the hull-averaged gap labels in
-`report`, a Sturm count at those energies gives it without a full spectrum.
-Gaps are a spectrum's wide spacings, found by one scan: detect_gaps reports
-each as it is, bulk_gaps merges pieces split by <= MAX_STRAYS boundary levels.
+count only the midpoints inside that tight bracket.  An independent
+characteristic-polynomial oracle covers small sizes for cross-checks.
+
+Chains of a substitution need no spectrum for their gaps.  lifted_counts
+counts levels from the transfer matrices of the supertiles sigma^n(c),
+lifted to the universal cover of their action on angles and composed along
+the rule, so a count costs the order times the image letters per shift,
+whatever the word's length.  It gives the free chain's Sturm count and, in
+a gap, the count j per period of the periodic approximant with period word
+sigma^n(a), whose integrated density of states there is exactly j/N;
+`report` scans it for the gaps of every rule-backed chain.  The full
+eigen-solve serves `spectrum`, spectrum files and chains with no rule, whose
+gaps are a spectrum's wide spacings, found by one scan: detect_gaps reports
+each as it is, bulk_gaps merges pieces split by <= MAX_STRAYS boundary
+levels (free chains host edge modes in their gaps).
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimit
+from .errors import LengthLimit, SizeLimit
+from .substitution import SubstitutionRule, length_cap
 
 ORACLE_MAX = 12
 PIVMIN = 1e-280
@@ -41,6 +49,8 @@ NEWTON_STEPS = 12  # most Newton passes of an isolated index before it goes on h
 CERTIFY_EPS = 0.5  # certification offset, in eps * the larger Gershgorin bound
 NEWTON_TOL = 1024  # a Newton step under NEWTON_TOL offsets ends the Newton passes
 MAX_STRAYS = 2  # most stray levels between two detected pieces of one bulk gap
+LIFT_CHUNK = 4096  # shifts per pass of the lifted count (bounds its arrays)
+INTEGER_TOL = 1e-6  # most distance of a certified approximant count from an integer
 
 
 @dataclass(frozen=True)
@@ -129,11 +139,8 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     once; a copy of its last row carries the recurrence into the next block.
     A block runs without the guard first and again with it, site by site,
     only if it met a pivot below PIVMIN; a block that met none is what the
-    guarded recurrence gives.  d of shape (n, W) and b2 of shape (n-1, W)
-    are W chains of one length (a windows axis), counted at the same shifts
-    in one pass over the sites; the counts then have shape (W, m).  Every
-    operation is elementwise, so each shift's count is the same to the bit
-    however the shifts and the chains are grouped.
+    guarded recurrence gives.  Every operation is elementwise, so each
+    shift's count is the same to the bit however the shifts are grouped.
 
     In IEEE arithmetic the count of this recurrence is monotone in x: it
     never falls as x grows (Demmel, Dhillon & Ren, ETNA 3, 1995; the tests
@@ -152,9 +159,8 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     b2 = np.asarray(b2, dtype=float)
     xs = np.asarray(xs, dtype=float)
     n = len(d)
-    shape = d.shape[1:] + xs.shape
-    # q_0 = (d_0 - x) - 0 / 1; a windows axis divides row by row
-    coeffs = [0.0, *(b2.tolist() if d.ndim == 1 else b2[..., None])]
+    shape = xs.shape
+    coeffs = [0.0, *b2.tolist()]  # q_0 = (d_0 - x) - 0 / 1
     block = np.empty((min(STURM_BLOCK, n), *shape))
     mag = np.empty_like(block)
     negative = np.empty(block.shape, dtype=bool)
@@ -165,14 +171,14 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     count = np.zeros(shape, dtype=np.int64)
     # slope sums over the first `lead` shifts
     lead = xs.shape[-1] if slope is True else int(slope)
-    ratios, offsets = np.empty((2, len(block), *shape[:-1], lead))
+    ratios, offsets = np.empty((2, len(block), lead))
     ratio_carry, total = np.zeros(ratios.shape[1:]), np.zeros(ratios.shape[1:])
     with np.errstate(all="ignore"):  # unguarded zero pivots divide by zero
         for start in range(0, n, STURM_BLOCK):
             stop = min(start + STURM_BLOCK, n)
             rows = block[:stop - start]
             for guard in (False, True):
-                np.subtract(d[start:stop, ..., None], xs, out=rows)
+                np.subtract(d[start:stop, None], xs, out=rows)
                 prev = carry
                 for c, row, quot in zip(coeffs[start:stop], rows, quots):
                     np.divide(c, prev, out=quot)
@@ -189,9 +195,9 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
             count += np.add.reduce(signs, axis=0, dtype=np.uint8, out=block_count)
             np.copyto(carry, rows[-1])
             if lead:
-                pivots, gain = rows[..., :lead], ratios[:len(rows)]
+                pivots, gain = rows[:, :lead], ratios[:len(rows)]
                 offset = offsets[:len(rows)]
-                np.divide(quots[:len(rows), ..., :lead], pivots, out=gain)
+                np.divide(quots[:len(rows), :lead], pivots, out=gain)
                 np.divide(-1.0, pivots, out=offset)
                 prev = ratio_carry
                 for ratio, add in zip(gain, offset):
@@ -372,6 +378,193 @@ def _newton_step(newton, slopes, x, last_step, tries, bracket, delta):
     return done, ~done & (~interior | (tries[newton] >= NEWTON_STEPS))
 
 
+@dataclass(frozen=True)
+class Approximant:
+    """The periodic chain whose period word is sigma^order(a), tile-projected.
+
+    a is the alphabet's first letter.  Each letter c carries the transfer
+    matrix [[alpha_c - beta_c x, -1], [1, 0]] at shift x = 2e.  Under the
+    on-site model that is v_c - x.  Under the hopping model the bonds factor
+    as t_n = g_n g_{n+1} with g = exp(-eps^2 v / 2), so H = G A G with A the
+    unit-hopping chain with zero site energies; by Sylvester's law of
+    inertia H - x has the inertia of A - x G^-2, a unit-hopping chain with
+    site energy -x exp(eps^2 v_c) counted at 0, and the count stays per
+    letter.  Letters take v_a and v_b in sorted order of the tiles the word
+    holds, as build_chain assigns them.  [lower, upper] holds the spectrum
+    in x (Gershgorin).
+    """
+
+    rule: SubstitutionRule
+    order: int
+    size: int
+    alpha: np.ndarray
+    beta: np.ndarray
+    lower: float
+    upper: float
+
+
+@dataclass(frozen=True)
+class LiftedCounts:
+    """Counts at each shift x, read from the lifted supertile transfer matrices.
+
+    free: levels of the free chain on the period word strictly below x.
+    periodic: the approximant's level count per period j, its integrated
+    density of states times size, where certified (a hyperbolic period
+    matrix and a rotation number within INTEGER_TOL of an integer, as in a
+    gap); -1 elsewhere.
+    """
+
+    free: np.ndarray
+    periodic: np.ndarray
+    certified: np.ndarray
+
+
+def approximant(rule: SubstitutionRule, order: int, model) -> Approximant:
+    """The approximant of sigma^order(a) under a model, with no word built.
+
+    Word length and letters are followed level by level through the images.
+    Refuses what expand_word and build_chain refuse: a negative order, a word
+    longer than length_cap(), under two letters or over two tiles.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    seed, limit = rule.alphabet[0], length_cap()
+    lengths, letters = dict.fromkeys(rule.alphabet, 1), {seed}
+    for _ in range(order):
+        lengths = {c: sum(lengths[x] for x in rule.images[c]) for c in rule.alphabet}
+        letters = {x for c in letters for x in rule.images[c]}
+        if lengths[seed] > limit:
+            raise LengthLimit(f"word of length {lengths[seed]} exceeds cap {limit}")
+    if lengths[seed] < 2:
+        raise ValueError("word must have at least 2 letters")
+    tiles = sorted({rule.project(c) for c in letters})
+    if len(tiles) > 2:
+        raise ValueError("word must use at most two letters (project tiles first)")
+    values = dict(zip(tiles, (model.v_a, model.v_b)))
+    # letters the word lacks are never composed into its lift
+    v = np.array([values.get(rule.project(c), 0.0) for c in rule.alphabet])
+    held = v[[i for i, c in enumerate(rule.alphabet) if c in letters]]
+    if isinstance(model, OnsiteModel):
+        alpha, beta = v, np.ones_like(v)
+        lower, upper = held.min() - 2.0, held.max() + 2.0
+    elif isinstance(model, HoppingModel):
+        alpha, beta = np.zeros_like(v), np.exp(model.eps**2 * v)
+        upper = 2.0 * np.exp(-model.eps**2 * held.min())
+        lower = -upper
+    else:
+        raise TypeError(f"unknown model {model!r}")
+    return Approximant(rule, order, lengths[seed], alpha, beta, float(lower), float(upper))
+
+
+def _turn(lift, r):
+    """atan2(det sin r, <M e_0, M e_r>): the angle M turns M e_0 through to
+    M e_r, in [0, pi] for r in [0, pi), robust when M is nearly of rank one."""
+    a, b, c, d, det = lift[:5]
+    sin = np.sin(r)
+    return np.arctan2(det * sin, (a * a + c * c) * np.cos(r) + (a * b + c * d) * sin)
+
+
+def _compose(second, first):
+    """Lift of second @ first.  A lift is a (7, ...) stack (a, b, c, d, det,
+    k, r): M = [[a, b], [c, d]] over its largest entry, det its determinant
+    and F(0) = k pi + r with r in [0, pi), so no angle grows with the word."""
+    a2, b2, c2, d2, det2, k2, r2 = second
+    a1, b1, c1, d1, det1, k1, r1 = first
+    out = np.empty_like(first)
+    turn = r2 + _turn(second, r1)  # F2(F1(0)) - k1 pi - k2 pi, in [0, 2 pi]
+    wrap = turn >= np.pi
+    np.add(k1 + k2, wrap, out=out[5])
+    np.subtract(turn, np.pi * wrap, out=out[6])
+    np.add(a2 * a1, b2 * c1, out=out[0])
+    np.add(a2 * b1, b2 * d1, out=out[1])
+    np.add(c2 * a1, d2 * c1, out=out[2])
+    np.add(c2 * b1, d2 * d1, out=out[3])
+    scale = np.abs(out[:4]).max(axis=0)
+    scale[scale == 0] = 1.0  # two numerically rank-one factors that cancel
+    out[:4] /= scale
+    np.divide(det1 * det2, scale * scale, out=out[4])
+    return out
+
+
+def _lifts(appr: Approximant, xs: np.ndarray) -> np.ndarray:
+    """Lifts of the transfer matrices of sigma^order(c) for every letter c.
+
+    Level 0 is each letter's own matrix.  Each level composes the previous
+    level's lifts along every image, the p-th letters of all images at once;
+    det underflows to 0 on long words in a gap, which leaves the lifts exact
+    in the limit of rank one.  Shape (7, letters, shifts).
+    """
+    rule = appr.rule
+    index = {c: i for i, c in enumerate(rule.alphabet)}
+    images = [[index[x] for x in rule.images[c]] for c in rule.alphabet]
+    later = [([i for i, image in enumerate(images) if len(image) > p],
+              [image[p] for image in images if len(image) > p])
+             for p in range(1, max(map(len, images)))]
+    diag = appr.alpha[:, None] - appr.beta[:, None] * xs
+    scale = np.maximum(np.abs(diag), 1.0)
+    lift = np.zeros((7, *diag.shape))
+    lift[0], lift[1], lift[2] = diag / scale, -1.0 / scale, 1.0 / scale
+    lift[4] = 1.0 / (scale * scale)
+    lift[6] = np.arctan2(1.0, diag)
+    for _ in range(appr.order):
+        acc = lift[:, [image[0] for image in images]]
+        for rows, steps in later:
+            if len(rows) == len(images):
+                acc = _compose(lift[:, steps], acc)
+            else:
+                acc[:, rows] = _compose(lift[:, steps], acc[:, rows])
+        lift = acc
+    return lift
+
+
+def lifted_counts(appr: Approximant, xs) -> LiftedCounts:
+    """Free-chain and approximant counts at shifts xs, from supertile lifts.
+
+    The transfer matrices act on (p_i, p_{i-1}), the leading minors of
+    H - x, and each is lifted to the universal cover of its action on
+    angles: F(k pi + r) = F(0) + k pi + atan2(det sin r, <M e_0, M e_r>)
+    for r in [0, pi), e_r = (cos r, sin r).  A sign change of the minors is
+    a crossing of pi/2 mod pi, so the free chain has floor(F(0)/pi + 1/2)
+    levels below x, its Sturm count.  In a gap the period's matrix is
+    hyperbolic (tr^2 > 4 det) and fixes x*, the angle of its expanding
+    eigenvector, and j = (F(x*) - x*)/pi is its rotation number, the
+    approximant's count per period (Johnson & Moser, CMP 84, 1982).  A
+    shift costs the order times the image letters, whatever the word's
+    length; shifts go LIFT_CHUNK at a time, and every operation is
+    elementwise, so a shift's counts do not depend on the others.
+
+    Within a few ulps of a level of the chain, or of a cluster of nearly
+    degenerate supertile levels, the free count may differ from the Sturm
+    count (an angle that rounds onto pi/2, a turn that rounds onto 0 or pi
+    at a near-singular factor).  The gap scan counts only where the
+    approximant's count is certified.
+    """
+    xs = np.asarray(xs, dtype=float)
+    parts = [_counts(appr, xs[start:start + LIFT_CHUNK])
+             for start in range(0, len(xs), LIFT_CHUNK)] or [_counts(appr, xs)]
+    return LiftedCounts(*(np.concatenate(field) for field in zip(*parts)))
+
+
+def _counts(appr: Approximant, xs: np.ndarray):
+    with np.errstate(all="ignore"):  # det underflows to 0 on long words in a gap
+        lift = _lifts(appr, xs)[:, 0]
+        a, b, c, d, det, k, r = lift
+        free = (k + (r >= 0.5 * np.pi)).astype(np.int64)
+        trace = a + d
+        disc = trace * trace - 4.0 * det
+        hyperbolic = disc > 0
+        big = 0.5 * (trace + np.copysign(np.sqrt(np.where(hyperbolic, disc, 0.0)), trace))
+        # the expanding eigenvector (b, big - a) or (big - d, c), the longer one
+        first = np.hypot(b, big - a) >= np.hypot(big - d, c)
+        star = np.mod(np.arctan2(np.where(first, big - a, c), np.where(first, b, big - d)),
+                      np.pi)
+        t = (r + _turn(lift, star) - star) / np.pi
+        whole = np.round(t)
+        certified = hyperbolic & (np.abs(t - whole) <= INTEGER_TOL)
+        periodic = np.where(certified, k + whole, -1).astype(np.int64)
+        return free, periodic, certified
+
+
 def brute_force_eigs(chain: TightBindingChain) -> EnergySpectrum:
     """Characteristic-polynomial oracle for N <= 12.
 
@@ -445,6 +638,10 @@ def detect_gaps(spectrum: EnergySpectrum, rel_threshold: float = 10.0) -> list[G
 
 def bulk_gaps(spectrum: EnergySpectrum, rel_threshold: float = 10.0) -> list[Gap]:
     """Gaps with free-boundary edge modes merged away.
+
+    Kept on purpose, with MAX_STRAYS, for chains that have no rule behind
+    them (spectrum files, cut-and-project chains): rule-backed gaps are the
+    periodic approximant's, which has no edge modes.
 
     A free chain hosts up to one boundary state per end inside a bulk gap,
     splitting it into several detected pieces separated by single stray

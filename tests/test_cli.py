@@ -113,6 +113,45 @@ def test_gaps_computed_directly(capsys):
     assert doc["gaps"][0]["label"]["in_group"] is True
 
 
+def test_gaps_at_a_large_order(capsys):
+    # N = F_22 = 17711: no eigen-solve, so this costs a scan of lifted counts.
+    # Ten mean spacings resolve gaps with |q| up to 80 at this order.
+    code, out, _ = run_cli(["gaps", "--family", "fibonacci", "--order", "20",
+                            "--q-max", "100"], capsys)
+    assert code == 0
+    gaps = json.loads(out)["gaps"]
+    assert len(gaps) > 50
+    golden = (1 + math.sqrt(5)) / 2
+    for gap in gaps:
+        p, q = gap["label"]["coordinates"]
+        assert gap["label"]["in_group"] is True
+        assert abs(gap["ids"] - (p + q / golden)) <= 1e-3
+        assert round(gap["ids"] * 17711, 6) == round(gap["ids"] * 17711)
+
+
+def test_bloch_svg_plots_at_most_one_point_per_level(tmp_path, capsys):
+    # the N(e) panel draws j/N at the ends of the approximant scan's runs,
+    # never more points than the N = 987 levels of a period
+    svg = tmp_path / "bloch.svg"
+    code, _, _ = run_cli(["bloch", "--family", "fibonacci", "--out", str(tmp_path / "b.json"),
+                          "--svg", str(svg)], capsys)
+    assert code == 0
+    text = svg.read_text(encoding="utf-8")
+    bottom = text.split("<polyline")[2].split('points="')[1].split('"')[0].split()
+    assert 0 < len(bottom) <= 987
+    assert len(text.encode("utf-8")) < 48265  # the size of the one-point-per-level plot
+
+
+@pytest.mark.parametrize("order", ["3", "-1", "40"])
+def test_gaps_refuse_short_negative_and_over_cap_orders(capsys, order):
+    # order 3 is a period of 5 letters; order 40 a word of F_42 > 10^7 letters
+    code, out, err = run_cli(["gaps", "--family", "fibonacci", "--order", order], capsys)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aperiodix: error:")
+    assert "Traceback" not in err
+
+
 def test_determinism_and_threads_flag(capsys):
     runs = []
     for threads in ("1", "4"):

@@ -1,19 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from aperiodix import cli, spectral
 from aperiodix import report as report_module
 from aperiodix.diffraction import contrast_spectrum, module_distance
 from aperiodix.report import bloch_report, hull_averaged_gaps, report_to_dict, to_json
-from aperiodix.spectral import (
-    HoppingModel,
-    OnsiteModel,
-    build_chain,
-    bulk_gaps,
-    counting_function,
-    eigenvalues_tridiag,
-)
+from aperiodix.spectral import HoppingModel, OnsiteModel, _sturm_count, build_chain
 from aperiodix.substitution import builtin_rule, expand_word
 
 # all five families at order 8-10 (N <= 256), on-site and hopping models
@@ -29,30 +24,7 @@ HULL_CASES = [
 ]
 
 
-def _spectrum_hull_ids(rule, order, model, windows=16):
-    """Hull-averaged ids the spectrum way: every window's full spectrum, read
-    by the counting function (levels at or below) at each gap midpoint.
-    Also returns the same average taken over the levels strictly below."""
-    seed = rule.alphabet[0]
-    word = rule.project(expand_word(rule, seed, order))
-    n = len(word)
-    gaps = bulk_gaps(eigenvalues_tridiag(build_chain(word, model)))
-    long_order = order
-    while len(expand_word(rule, seed, long_order)) < 6 * n and long_order < order + 12:
-        long_order += 1
-    long_word = rule.project(expand_word(rule, seed, long_order))
-    stride = max(1, (len(long_word) - n) // (windows - 1))
-    solved = {}  # equal windows (periodic words) have equal spectra
-    for j in range(windows):
-        window = long_word[j * stride:j * stride + n]
-        if window not in solved:
-            solved[window] = eigenvalues_tridiag(build_chain(window, model))
-    spectra = [solved[long_word[j * stride:j * stride + n]] for j in range(windows)]
-    mids = [0.5 * (g.lower + g.upper) for g in gaps]
-    at_or_below = [sum(counting_function(s, m) for s in spectra) / windows for m in mids]
-    below = [sum(float(np.searchsorted(s.eigenvalues, m, side="left")) / s.size
-                 for s in spectra) / windows for m in mids]
-    return at_or_below, below
+WINDOW_PERIODS = 16  # periods of the approximant's word in a window chain
 
 
 def test_gaps_in_trace_group_all_families(reports):
@@ -122,27 +94,51 @@ def test_report_custom_model():
 
 @pytest.mark.parametrize("family,order,model", HULL_CASES)
 def test_hull_counts_equal_window_spectra(family, order, model):
+    # A window of WINDOW_PERIODS periods of the approximant is a free chain
+    # cut from its periodic hull.  On a gap of the approximant with count j
+    # the periodic chain of K periods has exactly K j levels below, and
+    # cutting its one closing bond (a rank-two change of signature (1, 1))
+    # moves that count by at most one, so the window's Sturm count at each
+    # gap's midpoint is K j + {-1, 0, 1}.  The threshold is low enough that
+    # every case has gaps.
     rule = builtin_rule(family)
-    at_or_below, below = _spectrum_hull_ids(rule, order, model)
-    assert at_or_below
-    # no window level sits on a midpoint, where "at or below" (a counting
-    # function) and "strictly below" (a Sturm count) would part
-    assert below == at_or_below
-    ids = [g.ids_value for g in hull_averaged_gaps(rule, order, model, 10.0)]
-    assert ids == at_or_below  # bit for bit
+    word = rule.project(expand_word(rule, rule.alphabet[0], order))
+    n = len(word)
+    gaps = hull_averaged_gaps(rule, order, model, 2.0)
+    assert gaps
+    window = build_chain(word * WINDOW_PERIODS, model)
+    for gap in gaps:
+        j = gap.ids_value * n
+        assert j == round(j) and 0 < j < n
+        count = _sturm_count(window.onsite, window.hopping**2,
+                             np.array([gap.lower + gap.upper]))[0]
+        assert abs(count - WINDOW_PERIODS * round(j)) <= 1, (gap, count)
 
 
-def test_report_keeps_its_base_spectrum(reports):
+def test_report_keeps_its_contrast_grid(reports):
+    # the contrast grid classify_spectrum picked the peaks from
     report = reports["periodic"]
-    rule = builtin_rule("periodic")
-    word = rule.project(expand_word(rule, "a", report.spectral_order))
-    base = eigenvalues_tridiag(build_chain(word, OnsiteModel(0.0, 1.0)))
-    assert np.array_equal(report.spectrum.eigenvalues, base.eigenvalues)
-    # and the contrast grid classify_spectrum picked the peaks from
-    grid = contrast_spectrum(rule, max(report.diffraction_orders), 0.05,
-                             4 * math.pi, 2048)
+    grid = contrast_spectrum(builtin_rule("periodic"), max(report.diffraction_orders),
+                             0.05, 4 * math.pi, 2048)
     assert np.array_equal(report.diffraction.k_values, grid.k_values)
     assert np.array_equal(report.diffraction.S, grid.S)
+
+
+def test_rule_backed_gaps_solve_no_spectrum(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a rule-backed gap path solved a spectrum")
+
+    for module in (spectral, report_module, cli):
+        monkeypatch.setattr(module, "eigenvalues_tridiag", no_solve, raising=False)
+    report = bloch_report("fibonacci")
+    assert len(report.gap_labels) > 5
+    # the N(e) curve: at most N certified points of a nondecreasing count
+    energies, ids = report.counting
+    assert 0 < len(energies) <= 987
+    assert np.all(np.diff(energies) > 0) and np.all(np.diff(ids) >= 0)
+    assert hull_averaged_gaps(builtin_rule("thue-morse"), 10, HoppingModel(0.0, 1.0, 1.0))
+    assert cli.main(["gaps", "--family", "rudin-shapiro", "--order", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["gaps"]
 
 
 @pytest.mark.parametrize("bad", [{"tol": -1e-3}, {"tol": math.nan}, {"q_max": -1},
@@ -153,7 +149,7 @@ def test_bad_bounds_are_refused_before_any_work(monkeypatch, bad):
         raise AssertionError("bloch_report worked before it checked its bounds")
 
     monkeypatch.setattr(report_module, "trace_image", no_work)
-    monkeypatch.setattr(report_module, "_hull_gaps", no_work)
+    monkeypatch.setattr(report_module, "_approximant_gaps", no_work)
     with pytest.raises(ValueError):
         bloch_report("periodic", **bad)
 
