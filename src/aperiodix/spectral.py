@@ -12,8 +12,9 @@ so a bisection midpoint outside the bracket is decided with no count, and
 only the midpoints inside it are counted (once per distinct midpoint, with
 as many halvings per sweep as fit under TWO_LEVEL_SHIFTS).  A bracket that
 holds only its own eigenvalue (isolation) shrinks by safeguarded Newton
-steps, the slope sum taken in the same pivot loop; a converged iterate is
-certified by counting just either side of it, and the finishing halvings
+steps, the slope sum taken in the same pivot loop, and a cluster's slow
+geometric approach is cut short by summing its series; a converged iterate
+is certified by counting just either side of it, and the finishing halvings
 count only the midpoints inside that tight bracket.  An independent
 characteristic-polynomial oracle covers small sizes for cross-checks.
 
@@ -45,12 +46,14 @@ PIVMIN = 1e-280
 BISECT_STEPS = 60
 STURM_BLOCK = 16  # sites per block of pivots; at most 255 (uint8 block counts)
 TWO_LEVEL_SHIFTS = 1536  # most distinct midpoints a pass takes two halvings for
-NEWTON_STEPS = 12  # most Newton passes of an isolated index before it goes on halving
+ROW_SLOPES = 2048  # from this many slope shifts on, each row of slopes takes its own division
+NEWTON_STEPS = 12  # Newton passes after which an iterate not halving its step goes on halving
 CERTIFY_EPS = 0.5  # certification offset, in eps * the larger Gershgorin bound
 NEWTON_TOL = 1024  # a Newton step under NEWTON_TOL offsets ends the Newton passes
 MAX_STRAYS = 2  # most stray levels between two detected pieces of one bulk gap
 LIFT_CHUNK = 4096  # shifts per pass of the lifted count (bounds its arrays)
 INTEGER_TOL = 1e-6  # most distance of a certified approximant count from an integer
+EXP_LIMIT = float(np.log(np.finfo(float).max))  # the largest x whose exp(x) is finite
 
 
 @dataclass(frozen=True)
@@ -113,9 +116,19 @@ def build_chain(word: str, model) -> TightBindingChain:
     if isinstance(model, OnsiteModel):
         return TightBindingChain(v_seq, np.ones(len(word) - 1))
     if isinstance(model, HoppingModel):
+        _refuse_overflow(model, values.values())
         t = np.exp(-0.5 * model.eps**2 * (v_seq[:-1] + v_seq[1:]))
         return TightBindingChain(np.zeros(len(word)), t)
     raise TypeError(f"unknown model {model!r}")
+
+
+def _refuse_overflow(model: HoppingModel, values) -> None:
+    """Refuse a hopping model whose squared bonds exp(-eps^2 (v + v')), or
+    their inverses, overflow: 2 eps^2 |v| must stay within EXP_LIMIT."""
+    exponent = 2.0 * model.eps**2 * max(abs(v) for v in values)
+    if not exponent <= EXP_LIMIT:
+        raise ValueError(f"hopping model overflows exp: 2 eps^2 |v| = {exponent:.6g} "
+                         f"exceeds {EXP_LIMIT:.6g}")
 
 
 def _gershgorin(d: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -138,9 +151,13 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     and subtracted in place, and the block's negative pivots are counted at
     once; a copy of its last row carries the recurrence into the next block.
     A block runs without the guard first and again with it, site by site,
-    only if it met a pivot below PIVMIN; a block that met none is what the
-    guarded recurrence gives.  Every operation is elementwise, so each
-    shift's count is the same to the bit however the shifts are grouped.
+    only if it met a pivot below PIVMIN in size; a block that met none is
+    what the guarded recurrence gives.  The sign count finds such pivots:
+    q < PIVMIN and q <= -PIVMIN hold together except where |q| < PIVMIN, so
+    the block is run again only where its totals of the two differ, and the
+    count is its pivots at or below -PIVMIN (a guarded pivot is -PIVMIN).
+    Every operation is elementwise, so each shift's count is the same to
+    the bit however the shifts are grouped.
 
     In IEEE arithmetic the count of this recurrence is monotone in x: it
     never falls as x grows (Demmel, Dhillon & Ren, ETNA 3, 1995; the tests
@@ -151,9 +168,15 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     sums r_i = q_i'/q_i = d/dx log|q_i|, and (count, sums) is returned: the
     sum is d/dx log|det(T - x)| = sum_j 1/(x - lambda_j), so x - 1/sum is a
     Newton step on the determinant.  The pivot loop stores its quotients
-    b_{i-1}^2/q_{i-1}; per block, r_i = (b_{i-1}^2/q_{i-1})/q_i * r_{i-1} -
-    1/q_i takes two operations a site after two divisions over the block.
-    The counts are those without slope to the bit.
+    quot_i = b_{i-1}^2/q_{i-1}, and r_i = (quot_i * r_{i-1} - 1) / q_i takes
+    one division a site.  From ROW_SLOPES slope shifts on, each row divides
+    on its own, three calls a site on a row that stays in cache; below, the
+    block's 1/q_i are taken at once and r_i = (quot_i / q_i) r_{i-1} - 1/q_i
+    costs two calls a site.  The two agree to rounding, so a sum may move
+    in its last bits with the number of slope shifts in its pass.  Where a
+    pivot vanished (the guard's -PIVMIN) the sum is huge, or NaN once a
+    later site overflows: the shift sits on a level.  The counts are those
+    without slope to the bit.
     """
     d = np.asarray(d, dtype=float)
     b2 = np.asarray(b2, dtype=float)
@@ -162,21 +185,20 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     shape = xs.shape
     coeffs = [0.0, *b2.tolist()]  # q_0 = (d_0 - x) - 0 / 1
     block = np.empty((min(STURM_BLOCK, n), *shape))
-    mag = np.empty_like(block)
-    negative = np.empty(block.shape, dtype=bool)
+    signs = np.empty(block.shape, dtype=bool)
     carry, size = np.ones(shape), np.empty(shape)
     quots = np.empty_like(block)
     tiny = np.empty(shape, dtype=bool)
-    block_count = np.empty(shape, dtype=np.uint8)
+    negative = np.empty(shape, dtype=np.uint8)
     count = np.zeros(shape, dtype=np.int64)
     # slope sums over the first `lead` shifts
     lead = xs.shape[-1] if slope is True else int(slope)
-    ratios, offsets = np.empty((2, len(block), lead))
-    ratio_carry, total = np.zeros(ratios.shape[1:]), np.zeros(ratios.shape[1:])
+    ratios, inverses = np.empty((2, len(block), lead))
+    ratio_carry, total = np.zeros(lead), np.zeros(lead)
     with np.errstate(all="ignore"):  # unguarded zero pivots divide by zero
         for start in range(0, n, STURM_BLOCK):
             stop = min(start + STURM_BLOCK, n)
-            rows = block[:stop - start]
+            rows, sign = block[:stop - start], signs[:stop - start]
             for guard in (False, True):
                 np.subtract(d[start:stop, None], xs, out=rows)
                 prev = carry
@@ -187,25 +209,31 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
                         np.less(np.abs(row, out=size), PIVMIN, out=tiny)
                         np.copyto(row, -PIVMIN, where=tiny)
                     prev = row
-                smallest = np.fmin.reduce(np.abs(rows, out=mag[:len(rows)]),
-                                          axis=None, initial=np.inf)
-                if guard or not smallest < PIVMIN:
+                # q < PIVMIN and q <= -PIVMIN differ exactly on |q| < PIVMIN
+                below = np.count_nonzero(np.less(rows, PIVMIN, out=sign))
+                np.less_equal(rows, -PIVMIN, out=sign)
+                if guard or below == np.count_nonzero(sign):
                     break
-            signs = np.less(rows, 0.0, out=negative[:len(rows)]).view(np.uint8)
-            count += np.add.reduce(signs, axis=0, dtype=np.uint8, out=block_count)
+            count += np.add.reduce(sign.view(np.uint8), axis=0, dtype=np.uint8, out=negative)
             np.copyto(carry, rows[-1])
             if lead:
-                pivots, gain = rows[:, :lead], ratios[:len(rows)]
-                offset = offsets[:len(rows)]
-                np.divide(quots[:len(rows), :lead], pivots, out=gain)
-                np.divide(-1.0, pivots, out=offset)
                 prev = ratio_carry
-                for ratio, add in zip(gain, offset):
-                    np.multiply(ratio, prev, out=ratio)
-                    np.add(ratio, add, out=ratio)
-                    prev = ratio
-                total += np.add.reduce(gain, axis=0)
-                np.copyto(ratio_carry, gain[-1])
+                if lead >= ROW_SLOPES:
+                    for quot, row, ratio in zip(quots, rows, ratios):
+                        np.multiply(quot[:lead], prev, out=ratio)
+                        np.subtract(ratio, 1.0, out=ratio)
+                        np.divide(ratio, row[:lead], out=ratio)
+                        prev = ratio
+                else:
+                    inverse = inverses[:len(rows)]
+                    np.divide(1.0, rows[:, :lead], out=inverse)
+                    np.multiply(quots[:len(rows), :lead], inverse, out=ratios[:len(rows)])
+                    for ratio, inv in zip(ratios, inverse):
+                        np.multiply(ratio, prev, out=ratio)
+                        np.subtract(ratio, inv, out=ratio)
+                        prev = ratio
+                total += np.add.reduce(ratios[:len(rows)], axis=0)
+                np.copyto(ratio_carry, prev)
     return (count, total) if slope is not False else count
 
 
@@ -219,15 +247,17 @@ def _descend(path, low, up, steps, bracket, end_counts, targets, shifts, counts)
     strictly inside its bracket and not yet counted.
     """
     l, u, s = low[path], up[path], steps[path]
-    walking, looking = np.arange(len(path)), len(shifts) > 0
+    walking = np.arange(len(path))
     while len(walking):
         own, lw, uw = path[walking], l[walking], u[walking]
         mid = 0.5 * (lw + uw)
-        if looking:  # the levels this pass counted come first
-            pos = np.minimum(np.searchsorted(shifts, mid), len(shifts) - 1)
-            hit = shifts[pos] == mid
-            _tighten(own[hit], mid[hit], counts[pos[hit]], bracket, end_counts, targets)
-            looking = hit.any()
+        # a midpoint inside the bracket may have been counted in this pass
+        at = np.flatnonzero((bracket[0, own] < mid) & (mid < bracket[1, own]))
+        if len(at) and len(shifts):
+            pos = np.minimum(np.searchsorted(shifts, mid[at]), len(shifts) - 1)
+            hit = shifts[pos] == mid[at]
+            at, pos = at[hit], pos[hit]
+            _tighten(own[at], mid[at], counts[pos], bracket, end_counts, targets)
         below, above = mid <= bracket[0, own], mid >= bracket[1, own]
         # a midpoint rounded onto an end moves nothing on any later pass
         move = (mid != lw) & (mid != uw) & (s[walking] < BISECT_STEPS) & (below | above)
@@ -282,15 +312,17 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
     lockstep bisection with shared shifts.  Once a bracket holds only its own
     eigenvalue (count(A) = k - 1, count(B) = k) it is isolated and shrinks by
     safeguarded Newton steps x - 1 / sum_i q_i'/q_i instead, each iterate
-    counted so that it tightens (A, B); a step that leaves the bracket or
-    falls short of halving the one before is a bisection of (A, B).  A
+    counted so that it tightens (A, B).  A step short of half the one before
+    is a cluster's geometric approach and takes the whole series
+    (_newton_step); a step that leaves the bracket or does not shrink is a
+    bisection of (A, B).  An iterate on a level converges at once.  A
     converged iterate x is certified by counting at x -/+ delta in the next
     pass, which makes (A, B) a few ulps wide, and the finishing halvings
-    count only the few midpoints inside it.  An index still unconverged
-    after NEWTON_STEPS passes, or whose certification fails (a bracket
-    tightened on one side only), goes on by halvings from the bracket it
-    has.  Every pass is one _sturm_count call over all shifts, with the
-    slope at the Newton iterates only.
+    count only the few midpoints inside it.  An index that has spent
+    NEWTON_STEPS passes and no longer halves its step, or whose
+    certification fails (a bracket tightened on one side only), goes on by
+    halvings from the bracket it has.  Every pass is one _sturm_count call
+    over all shifts, with the slope at the Newton iterates only.
     """
     d = np.asarray(chain.onsite, dtype=float)
     b = np.asarray(chain.hopping, dtype=float)
@@ -353,29 +385,45 @@ def _tighten(owner, xs, count, bracket, end_counts, targets):
 def _newton_step(newton, slopes, x, last_step, tries, bracket, delta):
     """Advance the Newton iterates x[newton] in place from their slope sums.
 
-    A step leaving the bracket or not under half the step before (a
-    cluster's slow approach) is replaced by the bracket's midpoint.  A step
-    under NEWTON_TOL * delta whose quadratic error estimate |step|^3 /
-    last_step^2 is under delta / 4 converges: its iterate, clipped into the
+    A step short of half the step before is a cluster's slow geometric
+    approach (ratio = |step| / |step before| in (1/2, 1)): the iterate takes
+    the whole series, step / (1 - ratio), or, where that leaves the bracket,
+    stops halfway from the Newton iterate to the end it heads for.  Any other
+    step that leaves the bracket, or is not shorter than the step before, is
+    replaced by the bracket's midpoint.  An iterate converges where a pivot
+    vanished (a non-finite slope sum: it sits on a level), where its step is
+    under delta (the first step too), or where a step under NEWTON_TOL *
+    delta has a quadratic error estimate |step|^3 / last_step^2 under
+    delta / 4.  Its Newton iterate (itself for a NaN sum), clipped into the
     bracket (a step that rounds out of it lands next to an end), is the one
-    to certify.  Returns the masks of the converged indices and of those
-    that go on by halvings (out of passes, or a bracket without interior).
+    to certify.  Returns the masks of the converged indices and of
+    those that go on by halvings: a bracket without interior, or
+    NEWTON_STEPS passes spent and a last step that was no Newton step at
+    least halving the one before (an iterate still converging goes on).
     """
+    here, ends = x[newton], bracket[:, newton]
+
+    def inside(y):
+        return (ends[0] < y) & (y < ends[1])
+
     with np.errstate(all="ignore"):  # a zero or non-finite slope sum
         step = -1.0 / slopes
         size, before = np.abs(step), last_step[newton]
-        done = ((size <= NEWTON_TOL * delta) & (size ** 3 <= 0.25 * delta * before ** 2)
-                & (before < np.inf))
-    ends = bracket[:, newton]
-    guess = x[newton] + step
-    newton_ok = (ends[0] < guess) & (guess < ends[1]) & (size <= 0.5 * before)
-    guess = np.where(done, np.clip(guess, ends[0], ends[1]),
+        ratio = size / before
+        done = ~np.isfinite(slopes) | (size < delta) | (
+            (size <= NEWTON_TOL * delta) & (size ** 3 <= 0.25 * delta * before ** 2)
+            & (before < np.inf))
+        guess = here + np.where(ratio > 0.5, step / (1.0 - ratio), step)
+    guess = np.where(inside(guess), guess,
+                     0.5 * (here + step + np.where(step > 0, ends[1], ends[0])))
+    newton_ok = inside(guess) & (ratio < 1.0)
+    guess = np.where(done, np.clip(np.where(np.isnan(step), here, here + step), ends[0], ends[1]),
                      np.where(newton_ok, guess, 0.5 * (ends[0] + ends[1])))
     x[newton] = guess
-    last_step[newton] = np.where(newton_ok, size, np.inf)
+    last_step[newton] = np.where(newton_ok, np.abs(guess - here), np.inf)
     tries[newton] += 1
-    interior = (ends[0] < guess) & (guess < ends[1])
-    return done, ~done & (~interior | (tries[newton] >= NEWTON_STEPS))
+    spent = (tries[newton] >= NEWTON_STEPS) & ~(newton_ok & (ratio <= 0.5))
+    return done, ~done & (~inside(guess) | spent)
 
 
 @dataclass(frozen=True)
@@ -448,6 +496,7 @@ def approximant(rule: SubstitutionRule, order: int, model) -> Approximant:
         alpha, beta = v, np.ones_like(v)
         lower, upper = held.min() - 2.0, held.max() + 2.0
     elif isinstance(model, HoppingModel):
+        _refuse_overflow(model, held)
         alpha, beta = np.zeros_like(v), np.exp(model.eps**2 * v)
         upper = 2.0 * np.exp(-model.eps**2 * held.min())
         lower = -upper

@@ -212,6 +212,9 @@ NOT_PRIMITIVE = '{"images": {"a": "aab", "b": "b"}, "alphabet": ["a", "b"]}'
     ("bloch", "--tol", "-0.001"),
     ("gaps", "--rel-threshold", "0"),
     ("bloch", "--rel-threshold", "-1"),
+    # 2 eps^2 |v| = 1800: the squared bonds overflow exp
+    ("gaps --model hopping --eps 30", "--va", "-1"),
+    ("spectrum --model hopping --eps 30", "--va", "-1"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, text):
     # flags ending in -file read the text from a file, the others take it as is

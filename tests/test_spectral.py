@@ -217,6 +217,79 @@ def test_zero_pivot_counts_as_below():
     assert np.array_equal(_sturm_count(d, b2, xs), reference_sturm_count(d, b2, xs))
 
 
+SUBNORMAL = 5e-324
+# pivots at and under PIVMIN in size: zeros of either sign, subnormals and
+# the neighbours of +-PIVMIN; only those strictly under it take the guard
+EDGE_PIVOTS = [0.0, -0.0, SUBNORMAL, -SUBNORMAL, 1e-310, -1e-310, PIVMIN, -PIVMIN,
+               np.nextafter(PIVMIN, 0.0), np.nextafter(-PIVMIN, 0.0),
+               np.nextafter(PIVMIN, 1.0), np.nextafter(-PIVMIN, -1.0)]
+
+
+def assert_counts_are_the_reference(d, b2, xs):
+    expected = reference_sturm_count(d, b2, xs)
+    assert np.array_equal(_sturm_count(d, b2, xs), expected)
+    for slope in (True, 1):
+        assert np.array_equal(_sturm_count(d, b2, xs, slope=slope)[0], expected)
+
+
+@pytest.mark.parametrize("pivot", EDGE_PIVOTS)
+def test_edge_pivots_count_as_the_guarded_recurrence(pivot):
+    # a pivot under PIVMIN in size becomes -PIVMIN and counts as below;
+    # +-PIVMIN itself is kept, so the count is [pivot < PIVMIN]
+    one = _sturm_count(np.array([pivot]), np.empty(0), np.array([0.0]))
+    assert list(one) == [int(pivot < PIVMIN)]
+    # the same pivot at every row of a block and across block ends: a zero
+    # bond before the site makes its pivot d_i - x exactly, and the unit bond
+    # after it carries the guarded (or kept) value on
+    n = 2 * spectral.STURM_BLOCK + 3
+    for site in range(n):
+        d = np.ones(n)
+        d[site] = pivot
+        b2 = np.ones(n - 1)
+        if site:
+            b2[site - 1] = 0.0
+        assert_counts_are_the_reference(d, b2, np.array([0.0, 0.5, -3.0, 0.0, 2.5]))
+
+
+@st.composite
+def edge_chains_and_shifts(draw):
+    # site energies and shifts among the edge pivots, so differences and
+    # quotients meet them too; some chains carry a NaN or an infinity
+    values = st.sampled_from([*EDGE_PIVOTS, 1.0, -1.0, 2.0, 0.5])
+    n = draw(st.integers(1, 40))
+    onsite = draw(st.lists(values, min_size=n, max_size=n))
+    hopping2 = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 4.0, SUBNORMAL, PIVMIN]),
+                             min_size=n - 1, max_size=n - 1))
+    if draw(st.booleans()):
+        entry = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        site = draw(st.integers(0, 2 * n - 2))
+        if site < n:
+            onsite[site] = entry
+        else:
+            hopping2[site - n] = abs(entry)
+    xs = draw(st.lists(values, min_size=1, max_size=8))
+    return np.array(onsite), np.array(hopping2), np.array(xs)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edge_chains_and_shifts())
+def test_edge_pivot_chains_are_the_plain_recurrence_bit_for_bit(case):
+    assert_counts_are_the_reference(*case)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_non_finite_chains_count_as_the_plain_recurrence(entry):
+    n = spectral.STURM_BLOCK + 5
+    xs = np.array([-3.0, 0.0, PIVMIN, 1.0, 3.0])
+    for site in (0, 1, spectral.STURM_BLOCK - 1, spectral.STURM_BLOCK, n - 1):
+        d, b2 = np.linspace(-1.0, 1.0, n), np.ones(n - 1)
+        d[site] = entry
+        assert_counts_are_the_reference(d, b2, xs)
+        d[site] = 0.0
+        b2[min(site, n - 2)] = abs(entry)
+        assert_counts_are_the_reference(d, b2, xs)
+
+
 @st.composite
 def monotone_cases(draw):
     # float or integer chains (the latter meet exact zero pivots) at sorted
@@ -253,15 +326,19 @@ def test_sturm_count_is_monotone_in_x(case):
         assert sums.shape == counts.shape[:-1] + (len(xs) if slope is True else slope,)
 
 
-def test_slope_sum_is_the_log_derivative_of_the_determinant():
+def test_slope_sum_is_the_log_derivative_of_the_determinant(monkeypatch):
     rng = np.random.default_rng(5)
     d, b = rng.uniform(-2.0, 2.0, 30), rng.uniform(0.5, 1.5, 29)
     eigs = np.linalg.eigvalsh(np.diag(d) + np.diag(b, 1) + np.diag(b, -1))
     xs = 0.5 * (eigs[:-1] + eigs[1:])
-    _, sums = _sturm_count(d, b * b, xs, slope=True)
     # d/dx log|det(T - x)| = sum_j 1 / (x - lambda_j)
     expected = np.sum(1.0 / (xs[:, None] - eigs[None, :]), axis=1)
-    assert np.allclose(sums, expected, rtol=1e-9, atol=1e-9)
+    # the block's divisions at once, then a division a row
+    for row_slopes in (len(xs) + 1, len(xs)):
+        monkeypatch.setattr(spectral, "ROW_SLOPES", row_slopes)
+        counts, sums = _sturm_count(d, b * b, xs, slope=True)
+        assert np.allclose(sums, expected, rtol=1e-9, atol=1e-9)
+        assert np.array_equal(counts, _sturm_count(d, b * b, xs))
 
 
 def test_eigenvalues_are_the_plain_bisection_bit_for_bit():
@@ -318,27 +395,86 @@ def test_non_finite_chain_gives_nan_eigenvalues(entry):
 SLOPE_PASS, SLOPE_SHIFT = 1.75, 2.0
 
 
-def test_eigen_solve_makes_few_narrow_passes(monkeypatch):
-    # the cost of one N = 2000 solve, deterministic: 14 kernel passes, 23.0
-    # weighted passes and 38909 weighted shifts, against 50 passes and 87321
-    # shifts for the plain bisection; the bounds leave about 15% headroom, so
-    # a tail of nearly empty passes or wide slope passes fails here
+def kernel_calls(monkeypatch, chain, rel=0.0):
+    """(shifts, slope shifts) of each Sturm pass of one solve, with every
+    slope sum scaled by 1 + rel."""
     calls = []
     kernel = spectral._sturm_count
 
     def counting(d, b2, xs, slope=False):
         calls.append((len(xs), len(xs) if slope is True else int(slope)))
-        return kernel(d, b2, xs, slope=slope)
+        out = kernel(d, b2, xs, slope=slope)
+        return (out[0], out[1] * (1.0 + rel)) if slope is not False else out
 
     monkeypatch.setattr(spectral, "_sturm_count", counting)
-    word = cp_word(CPParams.from_text("1/golden"), 0, 2000)
-    chain = build_chain(word, OnsiteModel(0.0, 1.0))
     eigenvalues_tridiag(chain)
+    monkeypatch.undo()
+    return calls
+
+
+def assert_few_narrow_passes(monkeypatch, rel=0.0):
+    word = cp_word(CPParams.from_text("1/golden"), 0, 2000)
+    calls = kernel_calls(monkeypatch, build_chain(word, OnsiteModel(0.0, 1.0)), rel)
     passes = sum(SLOPE_PASS if lead else 1.0 for _, lead in calls)
     shifts = sum(width + (SLOPE_SHIFT - 1.0) * lead for width, lead in calls)
     assert len(calls) <= 16
     assert passes <= 26.5
     assert shifts <= 45000
+
+
+def test_eigen_solve_makes_few_narrow_passes(monkeypatch):
+    # the cost of one N = 2000 solve, deterministic: 14 kernel passes, 22.25
+    # weighted passes and 38976 weighted shifts, against 50 passes and 87321
+    # shifts for the plain bisection; the bounds leave about 15% headroom, so
+    # a tail of nearly empty passes or wide slope passes fails here
+    assert_few_narrow_passes(monkeypatch)
+
+
+@pytest.mark.parametrize("rel", [1e-12, -1e-12])
+def test_few_narrow_passes_with_slope_sums_off_by_rounding(monkeypatch, rel):
+    # no Newton decision rests on the last bits of a slope sum
+    assert_few_narrow_passes(monkeypatch, rel)
+
+
+def test_cluster_approach_leaves_no_tail_of_passes(monkeypatch):
+    # Newton iterates next to a cluster approach it geometrically; taking the
+    # whole series keeps them from running out of Newton passes and going on
+    # by wide halving sweeps (19 passes and 26539 shifts before, 14 and 16289)
+    word = cp_word(CPParams.from_text("5/13"), 0, 1000)
+    calls = kernel_calls(monkeypatch, build_chain(word, HoppingModel(0.0, 1.0, 1.0)))
+    assert len(calls) <= 15
+    assert sum(width for width, _ in calls) <= 18000
+
+
+@pytest.mark.parametrize("model", [OnsiteModel(0.0, 1.0), HoppingModel(0.0, 1.0, 1.0)],
+                         ids=["onsite", "hopping"])
+def test_golden_4000_solve_counts_few_shifts(monkeypatch, model):
+    # 47017 (on-site) and 47285 (hopping) shifts, 54991 and 53529 before
+    word = cp_word(CPParams.from_text("1/golden"), 0, 4000)
+    calls = kernel_calls(monkeypatch, build_chain(word, model))
+    assert sum(width for width, _ in calls) <= 50000
+
+
+@pytest.mark.parametrize("d, b, level", [
+    ([0.0, 0.0, 0.0], [1.0, 1.0], 1),   # the first pivot vanishes
+    ([0.0, 0.0], [1.0], 1),             # the last pivot vanishes
+    ([0.0, 0.0], [1.0], 0),
+], ids=["first-pivot", "last-pivot-upper", "last-pivot-lower"])
+def test_iterate_on_a_level_converges_there(d, b, level):
+    d, b = np.array(d), np.array(b)
+    levels = np.linalg.eigvalsh(np.diag(d) + np.diag(b, 1) + np.diag(b, -1))
+    x = np.round(levels, 12)  # the levels 0 and +-1 exactly
+    assert x[level] in (-1.0, 0.0, 1.0)
+    _, slopes = _sturm_count(d, b * b, x[[level]], slope=True)
+    # the count at x put x at the bracket's upper end; a first Newton step
+    newton = np.array([level])
+    bracket = np.array([x - 0.25, x])
+    last_step, tries = np.full(len(d), np.inf), np.zeros(len(d), dtype=np.int64)
+    level_x = x[level]
+    for sums in (slopes, np.array([np.nan])):  # a huge sum, or one a later site overflowed
+        done, lost = spectral._newton_step(newton, sums, x, last_step, tries, bracket, 1e-16)
+        assert done.all() and not lost.any()
+        assert abs(x[level] - level_x) < 1e-16
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 5, 13, 40])
@@ -533,6 +669,18 @@ def test_approximant_refuses_what_build_chain_refuses(monkeypatch):
     three = SubstitutionRule(("a", "b", "c"), {"a": "abc", "b": "a", "c": "b"})
     with pytest.raises(ValueError, match="at most two letters"):
         approximant(three, 2, OnsiteModel(0.0, 1.0))
+    # exp(2 eps^2) overflows at eps^2 = 355, the squared bond of two -1 sites
+    for eps, refused in ((18.8, False), (18.9, True), (30.0, True)):
+        for v_a, v_b in ((-1.0, 0.0), (0.0, 1.0)):
+            model = HoppingModel(v_a, v_b, eps)
+            for make in (lambda: approximant(rule, 8, model),
+                         lambda: build_chain(fibonacci_word(8), model)):
+                if refused:
+                    with pytest.raises(ValueError, match="overflows exp"):
+                        make()
+                else:
+                    with np.errstate(all="raise"):
+                        make()
     monkeypatch.setenv("APERIODIX_LENGTH_CAP", "100")
     assert approximant(rule, 9, OnsiteModel(0.0, 1.0)).size == 89
     with pytest.raises(LengthLimit):
