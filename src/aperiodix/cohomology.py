@@ -15,7 +15,9 @@ collared letters: the closure is exactly the legal collared alphabet
 
 Direct limits of integer matrices are recognised exactly (no floating point)
 as sums of Z and Z[1/p] factors where possible; anything else is returned
-unrecognised with its raw presentation.
+unrecognised with its raw presentation.  Characteristic polynomials, prime
+powers and the Perron root come from exactla as integer coefficients, ints
+and Fractions.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-import sympy
-
 from .errors import NoFixedPoint, Unrecognized
 from .exactla import (
+    char_factors,
     companion,
     frac_inverse,
     frac_kernel,
@@ -37,20 +38,19 @@ from .exactla import (
     int_det,
     lattice_hnf,
     mat_mul,
+    perron_root,
     perron_vector,
+    prime_base,
     saturation,
     smith_normal_form,
     transpose,
 )
 from .groups import LabelGroup, field_group, localized_group, two_gen_group
 from .substitution import (
-    OccurrenceMatrix,
     SubstitutionRule,
-    char_poly,
     expansions,
     least_period,
     occurrence_matrix,
-    perron_root,
     require_primitive,
 )
 
@@ -80,10 +80,6 @@ class CollaredAlphabet:
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-    def occurrence(self) -> OccurrenceMatrix:
-        names = tuple("".join(s) for s in self.symbols)
-        return OccurrenceMatrix(self.matrix, names)
 
 
 @dataclass(frozen=True)
@@ -223,29 +219,23 @@ def direct_limit(a) -> DirectLimitGroup:
     if abs(det) == 1:
         return DirectLimitGroup(s, (), presentation, True)
 
-    poly = char_poly(abar)
     blocks = []  # (kind, prime, lattice columns, dim)
-    for factor, mult in sympy.factor_list(poly.as_expr())[1]:
-        fpoly = sympy.Poly(factor, poly.gen)
-        deg = fpoly.degree()
-        const = int(fpoly.all_coeffs()[-1])
-        lattice = _factor_block_lattice(abar, fpoly, mult)
+    for coeffs, mult, text in char_factors(abar):  # coeffs monic, leading first
+        lattice = _factor_block_lattice(abar, coeffs, mult)
         dim = len(lattice[0]) if lattice else 0
-        if dim != deg * mult:
+        if dim != (len(coeffs) - 1) * mult:
             return DirectLimitGroup(0, (), presentation, False,
                                     note="block dimension mismatch")
-        if abs(const) == 1:
+        if abs(coeffs[-1]) == 1:
             blocks.append(("free", None, lattice, dim))
             continue
-        primes = sympy.factorint(abs(const))
-        if len(primes) != 1:
+        p = prime_base(abs(coeffs[-1]))
+        if p is None:
             return DirectLimitGroup(0, (), presentation, False,
-                                    note=f"mixed primes in factor {factor}")
-        p = int(next(iter(primes)))
-        coeffs = fpoly.all_coeffs()  # leading first, monic
-        if any(int(c) % p for c in coeffs[1:]):
+                                    note=f"mixed primes in factor {text}")
+        if any(c % p for c in coeffs[1:]):
             return DirectLimitGroup(0, (), presentation, False,
-                                    note=f"factor {factor} not p-nilpotent mod {p}")
+                                    note=f"factor {text} not p-nilpotent mod {p}")
         blocks.append(("loc", p, lattice, dim))
 
     loc_blocks = [b for b in blocks if b[0] == "loc"]
@@ -297,10 +287,10 @@ def _fraction_columns_to_int(vectors) -> list[list[int]]:
     return transpose(cols)
 
 
-def _factor_block_lattice(abar, fpoly, mult) -> list[list[int]]:
-    """Saturated lattice of the rational kernel of f(A)^mult (columns)."""
+def _factor_block_lattice(abar, coeffs, mult) -> list[list[int]]:
+    """Saturated lattice of the rational kernel of f(A)^mult (columns), f
+    given by its integer coefficients, highest first."""
     n = len(abar)
-    coeffs = [int(c) for c in fpoly.all_coeffs()]
     kernel = frac_kernel(imat_pow(_poly_of_matrix(coeffs, abar), mult))
     if not kernel:
         return [[] for _ in range(n)]
@@ -423,16 +413,16 @@ def trace_image(rule: SubstitutionRule) -> LabelGroup:
     period = fixed_point_period(rule)
     if period is not None:
         return two_gen_group(Fraction(1, period))
-    lam, f, _ = perron_root(m)
+    lam, f = perron_root(m.entries)
     if len(f) > 3:
         raise Unrecognized("Perron root is neither rational nor quadratic")
     col = collar(rule, 1)
     if len(f) == 2:
-        primes = sympy.factorint(-f[1])
-        if len(primes) != 1:
+        prime = prime_base(-f[1])
+        if prime is None:
             raise Unrecognized(f"composite inflation factor {-f[1]} unsupported")
         [(scale,)] = lattice_hnf(perron_vector(col.matrix, f))
-        return localized_group(scale, int(next(iter(primes))))
+        return localized_group(scale, prime)
     if abs(f[2]) != 1:
         raise Unrecognized("quadratic inflation factor is not a unit")
     freqs = perron_vector(col.matrix, f)

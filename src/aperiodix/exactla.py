@@ -1,6 +1,6 @@
 """Exact integer and rational linear algebra.
 
-Everything here runs on Python ints and fractions.Fraction, so the
+Everything here takes and returns Python ints and fractions.Fraction, so the
 cohomology and trace-group computations never touch floating point.  An
 element of a number field Q(lambda) of degree d is a rational vector of its
 coordinates in the power basis lambda^(d-1), ..., lambda, 1 (highest power
@@ -9,13 +9,22 @@ matrix of lambda's minimal polynomial, and a finitely generated subgroup is
 the Hermite normal form of its generators (lattice_hnf).  The Perron
 eigenvectors of a primitive integer matrix have entries in Q(lambda1), so
 perron_vector finds them exactly; letter frequencies, tile lengths and the
-collared patch frequencies of the trace image all come from it.
+collared patch frequencies of the trace image all come from it, and
+values_at evaluates such coordinates at the Perron root.
+
+This is the package's one sympy module.  char_factors (the factored
+characteristic polynomial), prime_base (the prime-power test) and
+perron_root (the Perron root as one Fraction and its minimal polynomial)
+hand out only ints, Fractions and text, so no other module sees a sympy
+object.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import sympy
 
 from .errors import Unrecognized
 
@@ -335,3 +344,51 @@ def perron_vector(matrix, poly) -> list[list[Fraction]]:
     if v is None:
         raise Unrecognized("matrix has no Perron kernel vector")
     return [v[i * d:(i + 1) * d] for i in range(n)]
+
+
+def values_at(coords, root) -> list:
+    """Power-basis coordinates (highest power first) evaluated at a root,
+    exactly when the root is a Fraction."""
+    return [sum(c * root**p for p, c in enumerate(reversed(v))) for v in coords]
+
+
+# -- polynomials through sympy ------------------------------------------------
+
+def _factor_polys(entries):
+    """(sympy Poly, multiplicity, text) of each irreducible factor over Q of
+    the characteristic polynomial, in x, of a square integer matrix."""
+    poly = sympy.Matrix([list(row) for row in entries]).charpoly(sympy.Symbol("x"))
+    return [(factor, mult, str(factor.as_expr()))
+            for factor, mult in poly.factor_list()[1]]
+
+
+def char_factors(entries) -> list[tuple[tuple[int, ...], int, str]]:
+    """Irreducible factors over Q of the characteristic polynomial of a square
+    integer matrix: (integer coefficients highest first, multiplicity, text)."""
+    return [(tuple(int(c) for c in poly.all_coeffs()), mult, text)
+            for poly, mult, text in _factor_polys(entries)]
+
+
+def prime_base(n: int) -> int | None:
+    """p when n is a power p^k (k >= 1) of a single prime p, else None."""
+    primes = sympy.factorint(n)
+    if n > 1 and len(primes) == 1:
+        return int(next(iter(primes)))
+    return None
+
+
+def perron_root(entries) -> tuple[Fraction, tuple[int, ...]]:
+    """(lambda1, f): the largest real root of the characteristic polynomial.
+
+    lambda1 is the Fraction of the root's 40 nroots digits and f its minimal
+    polynomial (monic integer coefficients, highest first).  Each irreducible
+    factor's roots are found on its own: nroots does not converge at the
+    repeated roots of an unfactored polynomial.
+    """
+    best = None
+    for poly, _, _ in _factor_polys(entries):
+        for root in poly.nroots(n=40):
+            if root.is_real and (best is None or root > best[0]):
+                best = (root, poly)
+    root, poly = best
+    return Fraction(str(root)), tuple(int(c) for c in poly.all_coeffs())

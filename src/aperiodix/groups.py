@@ -5,7 +5,8 @@ degenerations (1/q)Z, and scaled localisations a Z[1/p].  Membership is only
 meaningful with coordinate bounds since Z + rho Z is dense; the bounds mirror
 how two-integer labels are read off finite spectra.  An exact Z + rho Z is a
 lattice in a real quadratic field Q(lambda), held in the power-basis
-coordinates of exactla (field_group).
+coordinates of exactla (field_group), and its rho is the first basis
+element evaluated exactly at the Fraction of lambda (exactla.values_at).
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import sympy
-
 from .errors import Unrecognized
-from .exactla import lattice_hnf
+from .exactla import lattice_hnf, values_at
 
 DEFAULT_Q_MAX = 30
 DEFAULT_N_MAX = 12
@@ -94,7 +93,7 @@ def field_group(poly, lam, generators) -> LabelGroup:
     """Exact Z + rho Z spanned by elements of a real quadratic field Q(lam).
 
     poly is lam's minimal polynomial (monic integer coefficients, highest
-    first), lam the real root meant (any sympy number), and each generator
+    first), lam the real root meant (a Fraction, or a float), and each generator
     the coordinates (c1, c0) of c1 lam + c0.  The span must meet Q in Z,
     i.e. hold 1 as a primitive element; then it is Z + w Z for the first
     basis vector w of its Hermite normal form, and rho = w mod 1.
@@ -102,8 +101,7 @@ def field_group(poly, lam, generators) -> LabelGroup:
     basis = lattice_hnf(generators)
     if len(basis) != 2 or basis[1] != (0, 1):
         raise Unrecognized("1 is not primitive in the rank-2 frequency lattice")
-    (c1, c0), _ = basis
-    w = sympy.N(lam, 40) * sympy.Rational(c1) + sympy.Rational(c0)
+    [w] = values_at(basis[:1], lam)
     return LabelGroup(kind="two_gen", rho=float(w % 1),
                       lattice=(tuple(poly), tuple(basis)))
 

@@ -49,7 +49,6 @@ TWO_LEVEL_SHIFTS = 1536  # most distinct midpoints a pass takes two halvings for
 ROW_SLOPES = 2048  # from this many slope shifts on, each row of slopes takes its own division
 NEWTON_STEPS = 12  # Newton passes after which an iterate not halving its step goes on halving
 CERTIFY_EPS = 0.5  # certification offset, in eps * the larger Gershgorin bound
-NEWTON_TOL = 1024  # a Newton step under NEWTON_TOL offsets ends the Newton passes
 MAX_STRAYS = 2  # most stray levels between two detected pieces of one bulk gap
 LIFT_CHUNK = 4096  # shifts per pass of the lifted count (bounds its arrays)
 INTEGER_TOL = 1e-6  # most distance of a certified approximant count from an integer
@@ -106,29 +105,34 @@ def build_chain(word: str, model) -> TightBindingChain:
     """Chain from a two-letter word under the on-site or hopping model."""
     if len(word) < 2:
         raise ValueError("word must have at least 2 letters")
-    letters = sorted(set(word))
-    if len(letters) > 2:
-        raise ValueError("word must use at most two letters (project tiles first)")
-    values = {letters[0]: model.v_a}
-    if len(letters) == 2:
-        values[letters[1]] = model.v_b
+    values = _tile_values(set(word), model)
     v_seq = np.array([values[c] for c in word], dtype=float)
     if isinstance(model, OnsiteModel):
         return TightBindingChain(v_seq, np.ones(len(word) - 1))
+    t = np.exp(-0.5 * model.eps**2 * (v_seq[:-1] + v_seq[1:]))
+    return TightBindingChain(np.zeros(len(word)), t)
+
+
+def _tile_values(tiles, model) -> dict[str, float]:
+    """The value v of each tile a word holds: v_a and v_b in sorted order.
+
+    Refuses a third tile, a model that is neither OnsiteModel nor
+    HoppingModel, and a hopping model whose squared bonds
+    exp(-eps^2 (v + v')), or their inverses, overflow: 2 eps^2 |v| must stay
+    within EXP_LIMIT.
+    """
+    tiles = sorted(tiles)
+    if len(tiles) > 2:
+        raise ValueError("word must use at most two letters (project tiles first)")
+    if not isinstance(model, (OnsiteModel, HoppingModel)):
+        raise TypeError(f"unknown model {model!r}")
+    values = dict(zip(tiles, (model.v_a, model.v_b)))
     if isinstance(model, HoppingModel):
-        _refuse_overflow(model, values.values())
-        t = np.exp(-0.5 * model.eps**2 * (v_seq[:-1] + v_seq[1:]))
-        return TightBindingChain(np.zeros(len(word)), t)
-    raise TypeError(f"unknown model {model!r}")
-
-
-def _refuse_overflow(model: HoppingModel, values) -> None:
-    """Refuse a hopping model whose squared bonds exp(-eps^2 (v + v')), or
-    their inverses, overflow: 2 eps^2 |v| must stay within EXP_LIMIT."""
-    exponent = 2.0 * model.eps**2 * max(abs(v) for v in values)
-    if not exponent <= EXP_LIMIT:
-        raise ValueError(f"hopping model overflows exp: 2 eps^2 |v| = {exponent:.6g} "
-                         f"exceeds {EXP_LIMIT:.6g}")
+        exponent = 2.0 * model.eps**2 * max(abs(v) for v in values.values())
+        if not exponent <= EXP_LIMIT:
+            raise ValueError(f"hopping model overflows exp: 2 eps^2 |v| = {exponent:.6g} "
+                             f"exceeds {EXP_LIMIT:.6g}")
+    return values
 
 
 def _gershgorin(d: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -318,10 +322,11 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
     counted so that it tightens (A, B).  A step short of half the one before
     is a cluster's geometric approach and takes the whole series
     (_newton_step); a step that leaves the bracket or does not shrink is a
-    bisection of (A, B).  An iterate on a level converges at once.  A
-    converged iterate x is certified by counting at x -/+ delta in the next
-    pass, which makes (A, B) a few ulps wide, and the finishing halvings
-    count only the few midpoints inside it.  An index that has spent
+    bisection of (A, B).  An iterate converges on a level (a vanished pivot)
+    or once its Newton step is under delta.  A converged iterate x is
+    certified by counting at x -/+ delta in the next pass, which makes (A, B)
+    a few ulps wide, and the finishing halvings count only the few midpoints
+    inside it.  An index that has spent
     NEWTON_STEPS passes and no longer halves its step, or whose
     certification fails (a bracket tightened on one side only), goes on by
     halvings from the bracket it has.  Every pass is one _sturm_count call
@@ -394,15 +399,14 @@ def _newton_step(newton, slopes, x, last_step, tries, bracket, delta):
     stops halfway from the Newton iterate to the end it heads for.  Any other
     step that leaves the bracket, or is not shorter than the step before, is
     replaced by the bracket's midpoint.  An iterate converges where a pivot
-    vanished (a non-finite slope sum: it sits on a level), where its step is
-    under delta (the first step too), or where a step under NEWTON_TOL *
-    delta has a quadratic error estimate |step|^3 / last_step^2 under
-    delta / 4.  Its Newton iterate (itself for a NaN sum), clipped into the
-    bracket (a step that rounds out of it lands next to an end), is the one
-    to certify.  Returns the masks of the converged indices and of
-    those that go on by halvings: a bracket without interior, or
-    NEWTON_STEPS passes spent and a last step that was no Newton step at
-    least halving the one before (an iterate still converging goes on).
+    vanished (a non-finite slope sum: it sits on a level) or where its step
+    is under delta (the first step too).  Its Newton iterate (itself for a
+    NaN sum), clipped into the bracket (a step that rounds out of it lands
+    next to an end), is the one to certify.  Returns the masks of the
+    converged indices and of those that go on by halvings: a bracket
+    without interior, or NEWTON_STEPS passes spent and a last step that was
+    no Newton step at least halving the one before (an iterate still
+    converging goes on).
     """
     here, ends = x[newton], bracket[:, newton]
 
@@ -411,11 +415,9 @@ def _newton_step(newton, slopes, x, last_step, tries, bracket, delta):
 
     with np.errstate(all="ignore"):  # a zero or non-finite slope sum
         step = -1.0 / slopes
-        size, before = np.abs(step), last_step[newton]
-        ratio = size / before
-        done = ~np.isfinite(slopes) | (size < delta) | (
-            (size <= NEWTON_TOL * delta) & (size ** 3 <= 0.25 * delta * before ** 2)
-            & (before < np.inf))
+        size = np.abs(step)
+        ratio = size / last_step[newton]
+        done = ~np.isfinite(slopes) | (size < delta)
         guess = here + np.where(ratio > 0.5, step / (1.0 - ratio), step)
     guess = np.where(inside(guess), guess,
                      0.5 * (here + step + np.where(step > 0, ends[1], ends[0])))
@@ -441,7 +443,7 @@ class Approximant:
     inertia H - x has the inertia of A - x G^-2, a unit-hopping chain with
     site energy -x exp(eps^2 v_c) counted at 0, and the count stays per
     letter.  Letters take v_a and v_b in sorted order of the tiles the word
-    holds, as build_chain assigns them.  [lower, upper] holds the spectrum
+    holds, by the map build_chain uses (_tile_values).  [lower, upper] holds the spectrum
     in x (Gershgorin).
     """
 
@@ -488,23 +490,17 @@ def approximant(rule: SubstitutionRule, order: int, model) -> Approximant:
             raise LengthLimit(f"word of length {lengths[seed]} exceeds cap {limit}")
     if lengths[seed] < 2:
         raise ValueError("word must have at least 2 letters")
-    tiles = sorted({rule.project(c) for c in letters})
-    if len(tiles) > 2:
-        raise ValueError("word must use at most two letters (project tiles first)")
-    values = dict(zip(tiles, (model.v_a, model.v_b)))
+    values = _tile_values({rule.project(c) for c in letters}, model)
     # letters the word lacks are never composed into its lift
     v = np.array([values.get(rule.project(c), 0.0) for c in rule.alphabet])
     held = v[[i for i, c in enumerate(rule.alphabet) if c in letters]]
     if isinstance(model, OnsiteModel):
         alpha, beta = v, np.ones_like(v)
         lower, upper = held.min() - 2.0, held.max() + 2.0
-    elif isinstance(model, HoppingModel):
-        _refuse_overflow(model, held)
+    else:
         alpha, beta = np.zeros_like(v), np.exp(model.eps**2 * v)
         upper = 2.0 * np.exp(-model.eps**2 * held.min())
         lower = -upper
-    else:
-        raise TypeError(f"unknown model {model!r}")
     return Approximant(rule, order, lengths[seed], alpha, beta, float(lower), float(upper))
 
 

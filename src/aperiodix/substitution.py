@@ -7,24 +7,21 @@ package (words, supertiles, fixed-point prefixes, collar seeds) comes from
 there.  The occurrence matrix M is oriented so that M[i][j] counts letter i
 inside the image of letter j; letter-count vectors then evolve as c -> M c,
 so letter frequencies are the Perron right eigenvector and tile lengths the
-left one.
+left one, both exact in Q(lambda1) (exactla).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
 import numpy as np
-import sympy
 
 from .errors import AperiodixError, LengthLimit, NotPrimitive
-from .exactla import mat_mul, perron_vector, transpose
+from .exactla import mat_mul, perron_root, perron_vector, transpose, values_at
 
 DEFAULT_LENGTH_CAP = 10**7
 LENGTH_CAP_ENV = "APERIODIX_LENGTH_CAP"
@@ -64,13 +61,6 @@ class SubstitutionRule:
         if not self.tiles:
             return word
         return word.translate(str.maketrans(self.tiles))
-
-    def to_json(self) -> str:
-        data = {"name": self.name, "alphabet": list(self.alphabet),
-                "images": dict(self.images)}
-        if self.tiles:
-            data["tiles"] = dict(self.tiles)
-        return json.dumps(data, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "SubstitutionRule":
@@ -114,10 +104,8 @@ class PerronData:
     """
 
     lambda1: float
-    lambda2_abs: float
     freq: np.ndarray
     lengths: np.ndarray
-    beta: float
 
 
 def occurrence_matrix(rule: SubstitutionRule) -> OccurrenceMatrix:
@@ -151,57 +139,24 @@ def require_primitive(m: OccurrenceMatrix) -> OccurrenceMatrix:
     return m
 
 
-def char_poly(entries) -> sympy.Poly:
-    """Exact characteristic polynomial, in x, of a square integer matrix."""
-    x = sympy.Symbol("x")
-    mat = sympy.Matrix([list(row) for row in entries])
-    return sympy.Poly(mat.charpoly(x).as_expr(), x)
-
-
-def perron_root(m: OccurrenceMatrix):
-    """(lambda1, f, moduli): the largest real root of the characteristic polynomial.
-
-    lambda1 is a 40-digit sympy Float, f its minimal polynomial (monic
-    integer coefficients, highest first) and moduli the moduli of the other
-    roots with multiplicity, largest first.  The polynomial is factored once
-    over Q and each irreducible factor's roots are found with nroots, which
-    does not converge at the repeated roots of an unfactored polynomial.
-    """
-    roots = []
-    for factor, mult in char_poly(m.entries).factor_list()[1]:
-        coeffs = tuple(int(c) for c in factor.all_coeffs())
-        roots += [(r, coeffs) for r in factor.nroots(n=40)] * mult
-    lam, f = max(((r, f) for r, f in roots if r.is_real), key=lambda rf: rf[0])
-    moduli = sorted((abs(complex(r)) for r, _ in roots), reverse=True)[1:]
-    return lam, f, moduli
-
-
 def perron_data(m: OccurrenceMatrix) -> PerronData:
     """Perron eigenvalue and eigenvectors of a primitive occurrence matrix.
 
     Frequencies and lengths are exactly the Perron vectors of M and M^T in
     power-basis coordinates of Q(lambda1) (exactla.perron_vector).  They are
-    evaluated exactly at a Fraction of the 40-digit root and rounded to
-    floats once, after the lengths are divided by their minimum; the float
-    residuals are then checked against M.
+    evaluated exactly at the Fraction of the 40-digit root (exactla.perron_root)
+    and rounded to floats once, after the lengths are divided by their
+    minimum; the float residuals are then checked against M.
     """
-    lam, f, others = perron_root(require_primitive(m))
-    root = Fraction(str(lam))
-    freq = _values_at(perron_vector(m.entries, f), root)
-    lengths = _values_at(perron_vector(transpose(m.entries), f), root)
+    lam, f = perron_root(require_primitive(m).entries)
+    freq = values_at(perron_vector(m.entries, f), lam)
+    lengths = values_at(perron_vector(transpose(m.entries), f), lam)
     shortest = min(lengths)
     freq = np.array([float(x) for x in freq])
     lengths = np.array([float(x / shortest) for x in lengths])
     lam = float(lam)
-    lam2 = float(others[0]) if others else 0.0
     _validate_perron(m.array(), lam, freq, lengths)
-    beta = math.log(lam2) / math.log(lam) if lam2 > 0 else math.nan
-    return PerronData(lam, lam2, freq, lengths, beta)
-
-
-def _values_at(coords, root: Fraction) -> list[Fraction]:
-    """Power-basis coordinates (highest power first) evaluated at a rational root."""
-    return [sum(c * root**p for p, c in enumerate(reversed(v))) for v in coords]
+    return PerronData(lam, freq, lengths)
 
 
 def _validate_perron(arr, lam, freq, lengths):

@@ -4,9 +4,8 @@ The program derives every group from the rule (cohomology.trace_image);
 these are the published answers the derivation is checked against.
 """
 
+import math
 from fractions import Fraction
-
-import sympy
 
 from aperiodix.errors import UnknownFamily
 from aperiodix.groups import LabelGroup, field_group, localized_group, two_gen_group
@@ -23,7 +22,7 @@ def group_for_family(family: str) -> LabelGroup:
         return two_gen_group(Fraction(1, 2))
     if family == "fibonacci":
         # Z + (1/golden) Z, 1/golden = lambda - 1 for lambda^2 = lambda + 1
-        return field_group((1, -1, -1), sympy.GoldenRatio, [(0, 1), (1, -1)])
+        return field_group((1, -1, -1), (1 + math.sqrt(5)) / 2, [(0, 1), (1, -1)])
     if family in ("thue-morse", "period-doubling"):
         return localized_group(Fraction(1, 3), 2)
     if family == "rudin-shapiro":

@@ -20,6 +20,7 @@ from aperiodix.errors import NoFixedPoint, NotPrimitive, Unrecognized
 from aperiodix.exactla import int_det, mat_mul
 from aperiodix.groups import nearest_element
 from aperiodix.substitution import (
+    OccurrenceMatrix,
     SubstitutionRule,
     builtin_rule,
     is_primitive,
@@ -37,7 +38,7 @@ def test_collar_fibonacci_stable():
     col = collar(builtin_rule("fibonacci"))
     # legal triples of the Fibonacci word: aab, aba, baa, bab
     assert {"".join(s) for s in col.symbols} == {"aab", "aba", "baa", "bab"}
-    pd = perron_data(col.occurrence())
+    pd = perron_data(OccurrenceMatrix(col.matrix, tuple("".join(s) for s in col.symbols)))
     assert pd.lambda1 == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-9)
 
 
@@ -49,7 +50,7 @@ def test_collar_periodic():
 def test_collar_thue_morse():
     col = collar(builtin_rule("thue-morse"))
     assert col.size == 6
-    pd = perron_data(col.occurrence())
+    pd = perron_data(OccurrenceMatrix(col.matrix, tuple("".join(s) for s in col.symbols)))
     assert pd.lambda1 == pytest.approx(2.0, abs=1e-9)
 
 

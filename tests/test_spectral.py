@@ -423,10 +423,10 @@ def assert_few_narrow_passes(monkeypatch, rel=0.0):
 
 
 def test_eigen_solve_makes_few_narrow_passes(monkeypatch):
-    # the cost of one N = 2000 solve, deterministic: 14 kernel passes, 22.25
-    # weighted passes and 38976 weighted shifts, against 50 passes and 87321
-    # shifts for the plain bisection; the bounds leave about 15% headroom, so
-    # a tail of nearly empty passes or wide slope passes fails here
+    # the cost of one N = 2000 solve, deterministic: 15 kernel passes, 24.0
+    # weighted passes and 38781 weighted shifts, against 50 passes and 87321
+    # shifts for the plain bisection; the bounds leave 7-16% headroom, so a
+    # tail of nearly empty passes or wide slope passes fails here
     assert_few_narrow_passes(monkeypatch)
 
 
@@ -439,7 +439,7 @@ def test_few_narrow_passes_with_slope_sums_off_by_rounding(monkeypatch, rel):
 def test_cluster_approach_leaves_no_tail_of_passes(monkeypatch):
     # Newton iterates next to a cluster approach it geometrically; taking the
     # whole series keeps them from running out of Newton passes and going on
-    # by wide halving sweeps (19 passes and 26539 shifts before, 14 and 16289)
+    # by wide halving sweeps (19 passes and 26539 shifts before, 14 and 15303)
     word = cp_word(CPParams.from_text("5/13"), 0, 1000)
     calls = kernel_calls(monkeypatch, build_chain(word, HoppingModel(0.0, 1.0, 1.0)))
     assert len(calls) <= 15
@@ -449,7 +449,8 @@ def test_cluster_approach_leaves_no_tail_of_passes(monkeypatch):
 @pytest.mark.parametrize("model", [OnsiteModel(0.0, 1.0), HoppingModel(0.0, 1.0, 1.0)],
                          ids=["onsite", "hopping"])
 def test_golden_4000_solve_counts_few_shifts(monkeypatch, model):
-    # 47017 (on-site) and 47285 (hopping) shifts, 54991 and 53529 before
+    # 44823 (on-site) and 44735 (hopping) shifts, 54991 and 53529 before the
+    # lean Sturm pass and the cluster series
     word = cp_word(CPParams.from_text("1/golden"), 0, 4000)
     calls = kernel_calls(monkeypatch, build_chain(word, model))
     assert sum(width for width, _ in calls) <= 50000
