@@ -326,11 +326,11 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
     or once its Newton step is under delta.  A converged iterate x is
     certified by counting at x -/+ delta in the next pass, which makes (A, B)
     a few ulps wide, and the finishing halvings count only the few midpoints
-    inside it.  An index that has spent
-    NEWTON_STEPS passes and no longer halves its step, or whose
-    certification fails (a bracket tightened on one side only), goes on by
-    halvings from the bracket it has.  Every pass is one _sturm_count call
-    over all shifts, with the slope at the Newton iterates only.
+    inside it.  An index that has spent NEWTON_STEPS passes and no longer
+    halves its step, or whose certification fails (a bracket tightened on
+    one side only), goes on by halvings from the bracket it has.  Every
+    pass is one _sturm_count call over all shifts, with the slope at the
+    Newton iterates only.
     """
     d = np.asarray(chain.onsite, dtype=float)
     b = np.asarray(chain.hopping, dtype=float)
@@ -443,8 +443,8 @@ class Approximant:
     inertia H - x has the inertia of A - x G^-2, a unit-hopping chain with
     site energy -x exp(eps^2 v_c) counted at 0, and the count stays per
     letter.  Letters take v_a and v_b in sorted order of the tiles the word
-    holds, by the map build_chain uses (_tile_values).  [lower, upper] holds the spectrum
-    in x (Gershgorin).
+    holds, from the map build_chain uses (_tile_values).  [lower, upper]
+    holds the spectrum in x (Gershgorin).
     """
 
     rule: SubstitutionRule

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -682,6 +683,11 @@ def test_approximant_refuses_what_build_chain_refuses(monkeypatch):
                 else:
                     with np.errstate(all="raise"):
                         make()
+    unknown = SimpleNamespace(v_a=0.0, v_b=1.0)
+    for make in (lambda: approximant(rule, 8, unknown),
+                 lambda: build_chain(fibonacci_word(8), unknown)):
+        with pytest.raises(TypeError, match="unknown model"):
+            make()
     monkeypatch.setenv("APERIODIX_LENGTH_CAP", "100")
     assert approximant(rule, 9, OnsiteModel(0.0, 1.0)).size == 89
     with pytest.raises(LengthLimit):
