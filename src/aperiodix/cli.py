@@ -4,12 +4,15 @@ Every subcommand writes byte-identical output for identical invocations:
 numeric output is rounded to 15 significant digits, there are no
 timestamps, and the numerical kernels use fixed reduction orders (the
 --threads flag is accepted for interface compatibility; the kernels are
-deterministic regardless of its value).
+deterministic regardless of its value).  The argument parser is built
+once per process and reused by every main call; it holds no input, and each
+call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -369,6 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def _check_flags(args) -> None:
     """Refuse non-finite floats, --tol < 0 and --rel-threshold <= 0 up front."""
     for name, value in vars(args).items():
@@ -379,8 +387,7 @@ def _check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_flags(args)
         return args.fn(args)

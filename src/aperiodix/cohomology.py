@@ -40,6 +40,7 @@ from .exactla import (
     mat_mul,
     perron_root,
     perron_vector,
+    poly_text,
     prime_base,
     saturation,
     smith_normal_form,
@@ -220,7 +221,7 @@ def direct_limit(a) -> DirectLimitGroup:
         return DirectLimitGroup(s, (), presentation, True)
 
     blocks = []  # (kind, prime, lattice columns, dim)
-    for coeffs, mult, text in char_factors(abar):  # coeffs monic, leading first
+    for coeffs, mult in char_factors(abar):  # coeffs monic, leading first
         lattice = _factor_block_lattice(abar, coeffs, mult)
         dim = len(lattice[0]) if lattice else 0
         if dim != (len(coeffs) - 1) * mult:
@@ -232,10 +233,10 @@ def direct_limit(a) -> DirectLimitGroup:
         p = prime_base(abs(coeffs[-1]))
         if p is None:
             return DirectLimitGroup(0, (), presentation, False,
-                                    note=f"mixed primes in factor {text}")
+                                    note=f"mixed primes in factor {poly_text(coeffs)}")
         if any(c % p for c in coeffs[1:]):
             return DirectLimitGroup(0, (), presentation, False,
-                                    note=f"factor {text} not p-nilpotent mod {p}")
+                                    note=f"factor {poly_text(coeffs)} not p-nilpotent mod {p}")
         blocks.append(("loc", p, lattice, dim))
 
     loc_blocks = [b for b in blocks if b[0] == "loc"]

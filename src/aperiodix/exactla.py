@@ -1,22 +1,25 @@
 """Exact integer and rational linear algebra.
 
 Everything here takes and returns Python ints and fractions.Fraction, so the
-cohomology and trace-group computations never touch floating point.  An
-element of a number field Q(lambda) of degree d is a rational vector of its
-coordinates in the power basis lambda^(d-1), ..., lambda, 1 (highest power
-first, like a coefficient list); multiplication by lambda is the companion
-matrix of lambda's minimal polynomial, and a finitely generated subgroup is
-the Hermite normal form of its generators (lattice_hnf).  The Perron
-eigenvectors of a primitive integer matrix have entries in Q(lambda1), so
-perron_vector finds them exactly; letter frequencies, tile lengths and the
-collared patch frequencies of the trace image all come from it, and
-values_at evaluates such coordinates at the Perron root.
+cohomology and trace-group computations never touch floating point.  The
+rational solvers (frac_rref, frac_kernel, frac_solve, frac_inverse) take
+integer matrices and eliminate over ints, fraction-free; only the finished
+pivot rows become Fractions.  An element of a number field Q(lambda) of
+degree d is a rational vector of its coordinates in the power basis
+lambda^(d-1), ..., lambda, 1 (highest power first, like a coefficient list);
+multiplication by lambda is the companion matrix of lambda's minimal
+polynomial, and a finitely generated subgroup is the Hermite normal form of
+its generators (lattice_hnf).  The Perron eigenvectors of a primitive
+integer matrix have entries in Q(lambda1), so perron_vector finds them
+exactly; letter frequencies, tile lengths and the collared patch
+frequencies of the trace image all come from it, and values_at evaluates
+such coordinates at the Perron root.
 
 This is the package's one sympy module.  char_factors (the factored
 characteristic polynomial), prime_base (the prime-power test) and
 perron_root (the Perron root as one Fraction and its minimal polynomial)
-hand out only ints, Fractions and text, so no other module sees a sympy
-object.
+hand out only ints and Fractions, and poly_text prints a factor for the
+notes that quote one, so no other module sees a sympy object.
 """
 
 from __future__ import annotations
@@ -209,13 +212,16 @@ def hermite_column_form(a: IntMatrix) -> IntMatrix:
     return kept
 
 
-def frac_matrix(a) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in a]
+def frac_rref(a) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q of an integer matrix; returns (rref,
+    pivot columns).
 
-
-def frac_rref(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rref, pivot columns)."""
-    m = [row[:] for row in a]
+    Elimination runs over Python ints (fraction-free, as in Bareiss): a row
+    is cleared by pivot * row - factor * pivot_row and divided by its gcd.
+    Only at the end is each pivot row divided by its pivot into Fractions,
+    which gives the one reduced echelon form of the row space.
+    """
+    m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -225,26 +231,28 @@ def frac_rref(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        pivot, top = m[r][c], m[r]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+            factor = m[i][c]
+            if i != r and factor != 0:
+                row = [pivot * x - factor * y for x, y in zip(m[i], top)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    rref = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
+    rref += [[Fraction(0)] * cols for _ in range(rows - len(pivots))]
+    return rref, pivots
 
 
 def frac_kernel(a) -> list[list[Fraction]]:
-    """Basis of the right kernel over Q."""
-    m = frac_matrix(a)
-    if not m:
+    """Basis of the right kernel over Q of an integer matrix."""
+    if not a:
         return []
-    cols = len(m[0])
-    rref, pivots = frac_rref(m)
+    cols = len(a[0])
+    rref, pivots = frac_rref(a)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -257,12 +265,11 @@ def frac_kernel(a) -> list[list[Fraction]]:
 
 
 def frac_solve(a, b):
-    """One solution of a x = b over Q, or None if inconsistent."""
-    m = frac_matrix(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [m[i] + [Fraction(b[i])] for i in range(rows)]
-    rref, pivots = frac_rref(aug)
+    """One solution over Q of a x = b (integer a and b), or None if
+    inconsistent."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rref, pivots = frac_rref([list(a[i]) + [b[i]] for i in range(rows)])
     if cols in pivots:
         return None
     x = [Fraction(0)] * cols
@@ -272,10 +279,9 @@ def frac_solve(a, b):
 
 
 def frac_inverse(a):
-    """Exact inverse of a square rational matrix."""
+    """Exact inverse over Q of a square integer matrix."""
     n = len(a)
-    m = frac_matrix(a)
-    aug = [m[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    aug = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     rref, pivots = frac_rref(aug)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
@@ -355,18 +361,23 @@ def values_at(coords, root) -> list:
 # -- polynomials through sympy ------------------------------------------------
 
 def _factor_polys(entries):
-    """(sympy Poly, multiplicity, text) of each irreducible factor over Q of
-    the characteristic polynomial, in x, of a square integer matrix."""
+    """(sympy Poly, multiplicity) of each irreducible factor over Q of the
+    characteristic polynomial, in x, of a square integer matrix."""
     poly = sympy.Matrix([list(row) for row in entries]).charpoly(sympy.Symbol("x"))
-    return [(factor, mult, str(factor.as_expr()))
-            for factor, mult in poly.factor_list()[1]]
+    return poly.factor_list()[1]
 
 
-def char_factors(entries) -> list[tuple[tuple[int, ...], int, str]]:
+def char_factors(entries) -> list[tuple[tuple[int, ...], int]]:
     """Irreducible factors over Q of the characteristic polynomial of a square
-    integer matrix: (integer coefficients highest first, multiplicity, text)."""
-    return [(tuple(int(c) for c in poly.all_coeffs()), mult, text)
-            for poly, mult, text in _factor_polys(entries)]
+    integer matrix: (integer coefficients highest first, multiplicity)."""
+    return [(tuple(int(c) for c in poly.all_coeffs()), mult)
+            for poly, mult in _factor_polys(entries)]
+
+
+def poly_text(coeffs) -> str:
+    """A polynomial in x, given by its integer coefficients highest first, as
+    sympy prints it: (1, -3, 1) reads "x**2 - 3*x + 1"."""
+    return str(sympy.Poly(coeffs, sympy.Symbol("x")).as_expr())
 
 
 def prime_base(n: int) -> int | None:
@@ -386,7 +397,7 @@ def perron_root(entries) -> tuple[Fraction, tuple[int, ...]]:
     repeated roots of an unfactored polynomial.
     """
     best = None
-    for poly, _, _ in _factor_polys(entries):
+    for poly, _ in _factor_polys(entries):
         for root in poly.nroots(n=40):
             if root.is_real and (best is None or root > best[0]):
                 best = (root, poly)

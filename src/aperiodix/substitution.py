@@ -43,6 +43,9 @@ class SubstitutionRule:
     tiles: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        values = (*self.alphabet, *self.images.values(), *self.tiles.values())
+        if not all(isinstance(v, str) for v in values):
+            raise ValueError("letters, images and tile values must be strings")
         letters = set(self.alphabet)
         if len(self.alphabet) != len(letters) or len(self.alphabet) < 2:
             raise ValueError("alphabet letters must be distinct and at least two")

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from aperiodix.cli import main
+from aperiodix import cli
+from aperiodix.cli import build_parser, main
 from aperiodix.svgplot import Series, render_svg
 
 
@@ -175,6 +176,60 @@ def test_usage_error_exit_code():
     assert proc.stderr
 
 
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    for family in ("periodic", "fibonacci", "thue-morse"):
+        for command in ("trace", "cohomology"):
+            assert run_cli([command, "--family", family], capsys)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["trace"])
+    capsys.readouterr()
+    assert built == [1]
+    assert build_parser() is not build_parser()
+
+
+# A refusal, a usage error (exit 2) and --threads between the calls that the
+# reused parser serves; "usage" lines wrap at COLUMNS, fixed for both sides.
+INTERLEAVED_CALLS = [
+    ["trace", "--family", "fibonacci"],
+    ["cohomology", "--family", "thue-morse"],
+    ["cohomology"],
+    ["diffract", "--family", "period-doubling", "--contrast", "--order", "5",
+     "--samples", "16"],
+    ["trace", "--rule-file", "NOT_PRIMITIVE"],
+    ["--threads", "4", "trace", "--family", "rudin-shapiro"],
+    ["trace", "--family", "fibonacci"],
+]
+
+
+def test_interleaved_calls_match_a_fresh_interpreter(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    rule = tmp_path / "rule.json"
+    rule.write_text(NOT_PRIMITIVE, encoding="utf-8")
+    calls = [[str(rule) if a == "NOT_PRIMITIVE" else a for a in argv]
+             for argv in INTERLEAVED_CALLS]
+    codes = set()
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "aperiodix.cli", *argv],
+                               capture_output=True)
+        assert (code, out.out.encode(), out.err.encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.add(code)
+    assert codes == {0, 1, 2}
+
+
 def test_computation_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["generate", "--family", "thue-morse",
                             "--order", "64"], capsys)
@@ -184,6 +239,10 @@ def test_computation_error_exit_code(tmp_path, capsys):
 
 # b never reaches a: no power of the occurrence matrix is strictly positive
 NOT_PRIMITIVE = '{"images": {"a": "aab", "b": "b"}, "alphabet": ["a", "b"]}'
+# a list passes the image's letter test, set(word) <= letters, like a word
+LIST_IMAGE = '{"alphabet": ["a", "b"], "images": {"a": ["a", "b"], "b": "a"}}'
+LIST_TILE = ('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, '
+             '"tiles": {"a": ["a"], "b": "b"}}')
 
 
 @pytest.mark.parametrize("command, flag, text", [
@@ -198,6 +257,9 @@ NOT_PRIMITIVE = '{"images": {"a": "aab", "b": "b"}, "alphabet": ["a", "b"]}'
     ("gaps", "--q-max", "-1"),
     ("trace", "--rule-file", NOT_PRIMITIVE),
     ("cohomology", "--rule-file", NOT_PRIMITIVE),
+    ("trace", "--rule-file", LIST_IMAGE),
+    ("cohomology", "--rule-file", LIST_IMAGE),
+    ("generate", "--rule-file", LIST_TILE),
     ("generate", "--phason", "nan"),
     ("spectrum", "--va", "nan"),
     ("spectrum", "--vb", "inf"),
