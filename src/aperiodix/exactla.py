@@ -15,19 +15,27 @@ exactly; letter frequencies, tile lengths and the collared patch
 frequencies of the trace image all come from it, and values_at evaluates
 such coordinates at the Perron root.
 
-This is the package's one sympy module.  char_factors (the factored
-characteristic polynomial), prime_base (the prime-power test) and
-perron_root (the Perron root as one Fraction and its minimal polynomial)
-hand out only ints and Fractions, and poly_text prints a factor for the
-notes that quote one, so no other module sees a sympy object.
+This is the package's one sympy module, and its hot path builds no sympy
+object.  _charpoly is Faddeev-LeVerrier over ints; char_factors hands that
+int list to sympy's dense integer factoriser (dup_factor_list, the algorithm
+behind PurePoly.factor_list); prime_base is one sympy.factorint; perron_root
+locates lambda1 with numpy.roots and certifies and rounds it in integer
+arithmetic; poly_text prints a factor as sympy does, with no sympy at all.
+Only ints, Fractions and text leave the module.  `import sympy` stays at
+module level because the benchmark's import metrics read sympy's import
+time; it goes once those metrics allow a package without it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
+import numpy as np
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 from .errors import Unrecognized
 
@@ -39,9 +47,8 @@ def identity(n: int) -> IntMatrix:
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def transpose(a):
@@ -358,26 +365,54 @@ def values_at(coords, root) -> list:
     return [sum(c * root**p for p, c in enumerate(reversed(v))) for v in coords]
 
 
-# -- polynomials through sympy ------------------------------------------------
+# -- polynomials ---------------------------------------------------------------
 
-def _factor_polys(entries):
-    """(sympy Poly, multiplicity) of each irreducible factor over Q of the
-    characteristic polynomial, in x, of a square integer matrix."""
-    poly = sympy.Matrix([list(row) for row in entries]).charpoly(sympy.Symbol("x"))
-    return poly.factor_list()[1]
+def _charpoly(entries) -> list[int]:
+    """det(x I - A) of a square integer matrix: integer coefficients, highest
+    first, by Faddeev-LeVerrier.  M_1 = I, c_k = -tr(A M_k) / k and
+    M_(k+1) = A M_k + c_k I; each division by k is exact over the ints."""
+    n = len(entries)
+    coeffs = [1]
+    m = identity(n)
+    for k in range(1, n + 1):
+        m = mat_mul(entries, m)
+        c = -sum(m[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        for i in range(n):
+            m[i][i] += c
+    return coeffs
 
 
 def char_factors(entries) -> list[tuple[tuple[int, ...], int]]:
     """Irreducible factors over Q of the characteristic polynomial of a square
-    integer matrix: (integer coefficients highest first, multiplicity)."""
-    return [(tuple(int(c) for c in poly.all_coeffs()), mult)
-            for poly, mult in _factor_polys(entries)]
+    integer matrix: (integer coefficients highest first, multiplicity).
+
+    sympy's dense integer factoriser (Zassenhaus), on plain int lists: the
+    algorithm, factor order and multiplicities of PurePoly.factor_list."""
+    _, factors = dup_factor_list([ZZ(c) for c in _charpoly(entries)], ZZ)
+    return [(tuple(int(c) for c in poly), mult) for poly, mult in factors]
 
 
 def poly_text(coeffs) -> str:
     """A polynomial in x, given by its integer coefficients highest first, as
-    sympy prints it: (1, -3, 1) reads "x**2 - 3*x + 1"."""
-    return str(sympy.Poly(coeffs, sympy.Symbol("x")).as_expr())
+    sympy prints it: (1, -3, 1) reads "x**2 - 3*x + 1", (-1, 0, 2) "2 - x**2"."""
+    degree = len(coeffs) - 1
+    terms = []
+    for p, c in enumerate(coeffs):
+        if c:
+            power = degree - p
+            monomial = "x" if power == 1 else f"x**{power}"
+            body = str(abs(c)) if power == 0 else (
+                monomial if abs(c) == 1 else f"{abs(c)}*{monomial}")
+            terms.append((c < 0, body))
+    if not terms:
+        return "0"
+    # sympy's one reordering: a negative term and a positive constant
+    # print as "constant - term"
+    if len(terms) == 2 and terms[0][0] and not terms[1][0] and coeffs[-1]:
+        terms.reverse()
+    text = ("-" if terms[0][0] else "") + terms[0][1]
+    return text + "".join(f" {'-' if neg else '+'} {body}" for neg, body in terms[1:])
 
 
 def prime_base(n: int) -> int | None:
@@ -388,18 +423,82 @@ def prime_base(n: int) -> int | None:
     return None
 
 
+ROOT_DIGITS = 40
+
+
+def _horner(coeffs, t):
+    """(f(t), f'(t)) of integer coefficients highest first at an integer t."""
+    value = slope = 0
+    for c in coeffs:
+        slope = slope * t + value
+        value = value * t + c
+    return value, slope
+
+
+def _variations(coeffs, shift) -> int:
+    """Sign variations of f(x + shift) (Taylor shift by repeated synthetic
+    division); by Descartes' rule they bound the roots of f above shift."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(1, len(c) - i):
+            c[j] += shift * c[j - 1]
+    signs = [x > 0 for x in c if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _certified_root(factors, which, estimate) -> Fraction | None:
+    """The largest real root of factors[which], correctly rounded to
+    ROOT_DIGITS significant digits, if it is the largest real root of all the
+    factors; None when that cannot be certified.
+
+    With Q = 2 * 10^s, the root times 10^s rounds to n exactly when it lies
+    in ((2n - 1)/Q, (2n + 1)/Q).  Each factor g is taken as the integer
+    polynomial Q^d g(t/Q), so its signs and Taylor shifts at the bracket's
+    ends are exact.  n comes from integer Newton steps; the certificate is a
+    sign change of the factor across the bracket, one sign variation of it
+    shifted to the bottom and none of every other factor shifted there, so
+    the bracket holds the one root of all factors above its bottom."""
+    s = max(ROOT_DIGITS - 1 - math.floor(math.log10(abs(estimate or 1))), 0)
+    q = 2 * 10**s
+    scaled = [[c * q**i for i, c in enumerate(g)] for g in factors]
+    f = scaled[which]
+    t = round(Fraction(estimate) * q)
+    for _ in range(64):
+        value, slope = _horner(f, t)
+        if not slope:
+            return None
+        step = value // slope
+        t -= step
+        if abs(step) <= 1:
+            break
+    n = (t + 1) // 2
+    if _horner(f, 2 * n + 1)[0] < 0:
+        n += 1
+    elif _horner(f, 2 * n - 1)[0] > 0:
+        n -= 1
+    bottom = 2 * n - 1
+    if not _horner(f, bottom)[0] < 0 < _horner(f, bottom + 2)[0]:
+        return None
+    if any(_variations(g, bottom) != int(g is f) for g in scaled):
+        return None
+    return Fraction(n, 10**s)
+
+
 def perron_root(entries) -> tuple[Fraction, tuple[int, ...]]:
     """(lambda1, f): the largest real root of the characteristic polynomial.
 
-    lambda1 is the Fraction of the root's 40 nroots digits and f its minimal
-    polynomial (monic integer coefficients, highest first).  Each irreducible
-    factor's roots are found on its own: nroots does not converge at the
-    repeated roots of an unfactored polynomial.
+    lambda1 is the Fraction of the root correctly rounded to ROOT_DIGITS = 40
+    significant digits and f its minimal polynomial (monic integer
+    coefficients, highest first).  numpy.roots of each irreducible factor
+    locates it and exact integer arithmetic certifies and refines it
+    (_certified_root); a root that cannot be certified is refused.
     """
-    best = None
-    for poly, _ in _factor_polys(entries):
-        for root in poly.nroots(n=40):
-            if root.is_real and (best is None or root > best[0]):
-                best = (root, poly)
-    root, poly = best
-    return Fraction(str(root)), tuple(int(c) for c in poly.all_coeffs())
+    factors = [poly for poly, _ in char_factors(entries)]
+    candidates = sorted(((z.real, which) for which, g in enumerate(factors)
+                         for z in np.roots(g) if abs(z.imag) <= 1e-6 * max(1.0, abs(z))),
+                        reverse=True)
+    for estimate, which in candidates:
+        root = _certified_root(factors, which, float(estimate))
+        if root is not None:
+            return root, factors[which]
+    raise Unrecognized("the Perron root could not be certified")

@@ -58,6 +58,8 @@ class SubstitutionRule:
                 raise ValueError(f"image of {letter!r} uses foreign letters")
         if self.tiles and set(self.tiles) != letters:
             raise ValueError("tile projection must cover the alphabet")
+        if not all(len(tile) == 1 for tile in self.tiles.values()):
+            raise ValueError("each tile value must be exactly one character")
 
     def project(self, word: str) -> str:
         """Project a word over the full alphabet onto the two-tile alphabet."""
@@ -147,7 +149,7 @@ def perron_data(m: OccurrenceMatrix) -> PerronData:
 
     Frequencies and lengths are exactly the Perron vectors of M and M^T in
     power-basis coordinates of Q(lambda1) (exactla.perron_vector).  They are
-    evaluated exactly at the Fraction of the 40-digit root (exactla.perron_root)
+    evaluated exactly at the root correctly rounded to 40 digits (exactla.perron_root)
     and rounded to floats once, after the lengths are divided by their
     minimum; the float residuals are then checked against M.
     """

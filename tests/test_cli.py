@@ -243,6 +243,9 @@ NOT_PRIMITIVE = '{"images": {"a": "aab", "b": "b"}, "alphabet": ["a", "b"]}'
 LIST_IMAGE = '{"alphabet": ["a", "b"], "images": {"a": ["a", "b"], "b": "a"}}'
 LIST_TILE = ('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, '
              '"tiles": {"a": ["a"], "b": "b"}}')
+# a two-character tile would turn one letter into two sites
+LONG_TILE = ('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, '
+             '"tiles": {"a": "ab", "b": "b"}}')
 
 
 @pytest.mark.parametrize("command, flag, text", [
@@ -260,6 +263,8 @@ LIST_TILE = ('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, '
     ("trace", "--rule-file", LIST_IMAGE),
     ("cohomology", "--rule-file", LIST_IMAGE),
     ("generate", "--rule-file", LIST_TILE),
+    ("generate --order 4", "--rule-file", LONG_TILE),
+    ("spectrum --order 6", "--rule-file", LONG_TILE),
     ("generate", "--phason", "nan"),
     ("spectrum", "--va", "nan"),
     ("spectrum", "--vb", "inf"),

@@ -1,13 +1,19 @@
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import aperiodix
+from aperiodix.cohomology import cech_h1, trace_image
+from aperiodix.errors import AperiodixError
 from aperiodix.exactla import (
+    _charpoly,
     char_factors,
     frac_inverse,
     frac_kernel,
@@ -20,6 +26,16 @@ from aperiodix.exactla import (
     poly_text,
     prime_base,
 )
+from aperiodix.substitution import (
+    SubstitutionRule,
+    builtin_rule,
+    is_primitive,
+    occurrence_matrix,
+    perron_data,
+)
+
+FAMILIES = ("periodic", "fibonacci", "thue-morse", "period-doubling", "rudin-shapiro")
+X = sympy.Symbol("x")
 
 
 def test_only_exactla_imports_sympy():
@@ -154,10 +170,8 @@ def test_frac_rref_of_empty_and_zero_matrices():
     assert frac_solve([[1, 2], [2, 4]], [1, 2]) == [1, 0]
 
 
-@st.composite
-def unimodular_matrices(draw):
+def unimodular(draw, n):
     """Products of integer row operations: random matrices of determinant +-1."""
-    n = draw(st.integers(1, 6))
     m = identity(n)
     for _ in range(draw(st.integers(0, 3 * n))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -167,6 +181,11 @@ def unimodular_matrices(draw):
             q = draw(st.integers(-3, 3))
             m[i] = [x + q * y for x, y in zip(m[i], m[j])]
     return m
+
+
+@st.composite
+def unimodular_matrices(draw):
+    return unimodular(draw, draw(st.integers(1, 6)))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -201,3 +220,163 @@ def test_frac_solve_is_none_exactly_when_inconsistent(a, data):
     assert (x is not None) == consistent
     if x is not None:
         assert [sum(p * q for p, q in zip(row, x)) for row in a] == b
+
+
+# -- polynomials against sympy's object layer, the oracle ---------------------
+
+
+def sympy_charpoly(a):
+    return sympy.Matrix(a).charpoly(X)
+
+
+def sympy_char_factors(a):
+    """Matrix.charpoly and PurePoly.factor_list: the object-layer path that
+    char_factors replaces."""
+    return [(tuple(int(c) for c in poly.all_coeffs()), mult)
+            for poly, mult in sympy_charpoly(a).factor_list()[1]]
+
+
+@st.composite
+def char_matrices(draw):
+    """Integer matrices up to 7 x 7; singular, nilpotent and repeated-eigenvalue
+    ones are drawn on purpose, the last two conjugated by a unimodular U."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["random", "singular", "nilpotent", "repeated"]))
+    entries = st.integers(-4, 4)
+    a = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if kind == "singular":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        p = draw(entries)
+        a[i] = [p * x for x in a[j]] if i != j else [0] * n
+        return a
+    if kind == "nilpotent":
+        a = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(a)]
+    elif kind == "repeated":
+        # the top-left k x k block B twice on the diagonal, then c I: every
+        # root of B is at least double
+        k, c = n // 2, draw(entries)
+        a = [[a[i % k][j % k] if i // k == j // k < 2 else c * (i == j)
+              for j in range(n)] for i in range(n)] if k else [[c]]
+    u = unimodular(draw, n)
+    return mat_mul(mat_mul(u, a), [[int(x) for x in row] for row in frac_inverse(u)])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(char_matrices())
+def test_charpoly_and_factors_equal_sympys(a):
+    assert _charpoly(a) == [int(c) for c in sympy_charpoly(a).all_coeffs()]
+    # factors, their order and their multiplicities
+    assert char_factors(a) == sympy_char_factors(a)
+
+
+def test_char_factors_of_nilpotent_and_scalar_matrices():
+    assert char_factors([[0, 1, 2], [0, 0, 3], [0, 0, 0]]) == [((1, 0), 3)]
+    assert char_factors([[-2, 0], [0, -2]]) == [((1, 2), 2)]
+    assert _charpoly([[0, 1], [1, 1]]) == [1, -1, -1]
+
+
+def mpmath_perron_root(a):
+    """(lambda1, f) from sympy's factors and 80-digit mpmath roots: lambda1
+    correctly rounded to 40 significant digits, f its factor."""
+    with mpmath.workdps(80):
+        best = None
+        for coeffs, _ in sympy_char_factors(a):
+            for z in mpmath.polyroots(coeffs, maxsteps=200, extraprec=200):
+                if abs(mpmath.im(z)) < mpmath.mpf(10)**-60:
+                    if best is None or mpmath.re(z) > best[0]:
+                        best = (mpmath.re(z), coeffs)
+        root, coeffs = best
+        return Fraction(mpmath.nstr(root, 40, min_fixed=-mpmath.inf,
+                                    max_fixed=mpmath.inf)), coeffs
+
+
+@st.composite
+def primitive_matrices(draw):
+    n = draw(st.integers(2, 5))
+    a = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(n)]
+    assume(is_primitive(occurrence_matrix_of(a)))
+    return a
+
+
+def occurrence_matrix_of(a):
+    rule = SubstitutionRule(tuple("abcde"[:len(a)]), {
+        c: "".join("abcde"[i] * a[i][j] for i in range(len(a))) or "a"
+        for j, c in enumerate("abcde"[:len(a)])})
+    return occurrence_matrix(rule)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(primitive_matrices())
+def test_perron_root_is_the_correctly_rounded_root(a):
+    assert perron_root(a) == mpmath_perron_root(a)
+
+
+def test_perron_root_rounds_where_nroots_misrounds():
+    # f = x^3 - 2x^2 + x - 6; lambda1 = 2.53765617169842182070159674700440849900650...,
+    # which nroots(n=40) gives as ...4084990 06
+    lam, f = perron_root(((1, 0, 2, 0), (1, 1, 0, 0), (0, 2, 0, 1), (1, 0, 0, 1)))
+    assert f == (1, -2, 1, -6)
+    assert lam == Fraction("2.537656171698421820701596747004408499007")
+
+
+pieces = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-30, 30))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(pieces, min_size=1, max_size=7))
+def test_poly_text_prints_as_sympy(coeffs):
+    assert poly_text(coeffs) == str(sympy.Poly(coeffs, X).as_expr())
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ((0,), "0"), ((0, 0), "0"), ((-5,), "-5"), ((1, 0), "x"), ((-1, 0), "-x"),
+    ((-1, 1), "1 - x"), ((-1, -1), "-x - 1"), ((-2, 0, 3), "3 - 2*x**2"),
+    ((-1, 3, 0), "-x**2 + 3*x"), ((0, -1, 0, 1), "1 - x**2"),
+    ((-3, 2, -1, 1), "-3*x**3 + 2*x**2 - x + 1"),
+])
+def test_poly_text_examples(coeffs, text):
+    assert poly_text(coeffs) == text == str(sympy.Poly(coeffs, X).as_expr())
+
+
+def guard_rules():
+    """The five families and a few seeded random primitive rules."""
+    rng = random.Random(20)
+    rules = [builtin_rule(family) for family in FAMILIES]
+    while len(rules) < 15:
+        alphabet = "abcd"[:rng.randint(2, 4)]
+        images = {c: "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                  for c in alphabet}
+        rule = SubstitutionRule(tuple(alphabet), images)
+        if is_primitive(occurrence_matrix(rule)):
+            rules.append(rule)
+    return rules
+
+
+def invariants(rule):
+    results = []
+    for fn in (trace_image, cech_h1, lambda r: perron_data(occurrence_matrix(r))):
+        try:
+            results.append(repr(fn(rule)))
+        except AperiodixError as exc:
+            results.append(f"{type(exc).__name__}: {exc}")
+    return results
+
+
+def test_hot_path_needs_no_sympy_objects(monkeypatch):
+    # the exact layer runs on ints: no Matrix, no Poly, no nroots
+    rules = guard_rules()
+    expected = [invariants(rule) for rule in rules]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy's object layer reached")
+
+    monkeypatch.setattr(sympy.Poly, "nroots", refuse)
+    monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
+    monkeypatch.setattr(sympy, "Matrix", refuse)
+    monkeypatch.setattr(sympy, "Poly", refuse)
+    for rule in rules[:len(FAMILIES)]:
+        trace_image(rule)
+        cech_h1(rule)
+        perron_data(occurrence_matrix(rule))
+    assert [invariants(rule) for rule in rules] == expected

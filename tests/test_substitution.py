@@ -226,6 +226,13 @@ def test_rule_validation():
         SubstitutionRule(("a", "a"), {"a": "aa"})
 
 
+@pytest.mark.parametrize("tile", ["ab", ""])
+def test_tile_values_are_single_characters(tile):
+    # project() maps one letter to its tile value: one site per letter
+    with pytest.raises(ValueError, match="exactly one character"):
+        SubstitutionRule(("a", "b"), {"a": "ab", "b": "a"}, tiles={"a": tile, "b": "b"})
+
+
 def test_rudin_shapiro_projection():
     rs = builtin_rule("rudin-shapiro")
     assert rs.project("ABACABDB") == "abaaabbb"
