@@ -27,6 +27,7 @@ from aperiodix.exactla import (
     prime_base,
 )
 from aperiodix.substitution import (
+    OccurrenceMatrix,
     SubstitutionRule,
     builtin_rule,
     is_primitive,
@@ -239,7 +240,8 @@ def sympy_char_factors(a):
 @st.composite
 def char_matrices(draw):
     """Integer matrices up to 7 x 7; singular, nilpotent and repeated-eigenvalue
-    ones are drawn on purpose, the last two conjugated by a unimodular U."""
+    ones are drawn on purpose, all but the singular ones conjugated by a
+    unimodular U."""
     n = draw(st.integers(1, 7))
     kind = draw(st.sampled_from(["random", "singular", "nilpotent", "repeated"]))
     entries = st.integers(-4, 4)
@@ -294,15 +296,8 @@ def mpmath_perron_root(a):
 def primitive_matrices(draw):
     n = draw(st.integers(2, 5))
     a = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(n)]
-    assume(is_primitive(occurrence_matrix_of(a)))
+    assume(is_primitive(OccurrenceMatrix(tuple(map(tuple, a)), tuple("abcde"[:n]))))
     return a
-
-
-def occurrence_matrix_of(a):
-    rule = SubstitutionRule(tuple("abcde"[:len(a)]), {
-        c: "".join("abcde"[i] * a[i][j] for i in range(len(a))) or "a"
-        for j, c in enumerate("abcde"[:len(a)])})
-    return occurrence_matrix(rule)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None,
