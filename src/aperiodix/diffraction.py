@@ -286,9 +286,10 @@ def classify_spectrum(rule: SubstitutionRule, orders) -> SpectrumClassification:
 
     Maxima of the contrast structure factor at the largest order, on the
     CLASSIFY_SAMPLES-point grid of [CLASSIFY_K_MIN, CLASSIFY_K_MAX], qualify
-    as peaks when they rise a fixed factor above the mean grid level (flat
-    backgrounds never qualify); the MAX_PEAKS strongest, each more than
-    eight grid cells from a stronger one, are then scaled across the orders.
+    as peaks when they rise a fixed factor above the mean level of the grid's
+    interior points (flat backgrounds never qualify); the MAX_PEAKS strongest,
+    each more than eight grid cells from a stronger one, are then scaled
+    across the orders.
     Each order's chain is built once and serves the grid and every peak, and
     each zoom round of an order refines all peaks in one amplitude call.
     Tags: PP if any Bragg peak, SC if any singular-continuous one, AC when
@@ -299,7 +300,9 @@ def classify_spectrum(rule: SubstitutionRule, orders) -> SpectrumClassification:
     spectrum = _grid_spectrum(*chains[max(orders)], CLASSIFY_K_MIN, CLASSIFY_K_MAX,
                               CLASSIFY_SAMPLES)
     ks, svals = spectrum.k_values, spectrum.S
-    mean_level = float(svals.mean())
+    # interior points only: a grid end on a Bragg peak (CLASSIFY_K_MAX is in
+    # 2 pi Z) can hold nearly the whole sum and would set the level
+    mean_level = float(svals[1:-1].mean())
     candidates = []
     for i in range(1, len(ks) - 1):
         if svals[i] > svals[i - 1] and svals[i] > svals[i + 1]:

@@ -13,9 +13,11 @@ only the midpoints inside it are counted (once per distinct midpoint, with
 as many halvings per sweep as fit under TWO_LEVEL_SHIFTS).  A bracket that
 holds only its own eigenvalue (isolation) shrinks by safeguarded Newton
 steps, the slope sum taken in the same pivot loop, and a cluster's slow
-geometric approach is cut short by summing its series; a converged iterate
-is certified by counting just either side of it, and the finishing halvings
-count only the midpoints inside that tight bracket.  An independent
+geometric approach is cut short by summing its series.  An iterate stops
+one evaluation early, once its quadratic rate puts the next step under the
+certification offset; the pass after its last step counts just either side
+of it and, on the same bet, the halvings aimed at it inside that window, so
+a certified index finishes with no further pass.  An independent
 characteristic-polynomial oracle covers small sizes for cross-checks.
 
 Chains of a substitution need no spectrum for their gaps.  lifted_counts
@@ -44,10 +46,12 @@ from .substitution import SubstitutionRule, length_cap
 ORACLE_MAX = 12
 PIVMIN = 1e-280
 BISECT_STEPS = 60
-STURM_BLOCK = 16  # sites per block of pivots; at most 255 (uint8 block counts)
+STURM_BLOCK = 16  # sites per block of pivots; 8x at most 255 (uint8 block counts)
+BLOCK_PIVOTS = 65536  # most pivots in a block of a narrow pass, of up to 8 STURM_BLOCK sites
 TWO_LEVEL_SHIFTS = 1536  # most distinct midpoints a pass takes two halvings for
 ROW_SLOPES = 2048  # from this many slope shifts on, each row of slopes takes its own division
 NEWTON_STEPS = 12  # Newton passes after which an iterate not halving its step goes on halving
+SPARE_SHIFTS = 255  # shifts that cost a pass little beside its site loop
 CERTIFY_EPS = 0.5  # certification offset, in eps * the larger Gershgorin bound
 MAX_STRAYS = 2  # most stray levels between two detected pieces of one bulk gap
 LIFT_CHUNK = 4096  # shifts per pass of the lifted count (bounds its arrays)
@@ -118,8 +122,8 @@ def _tile_values(tiles, model) -> dict[str, float]:
 
     Refuses a third tile, a model that is neither OnsiteModel nor
     HoppingModel, and a hopping model whose squared bonds
-    exp(-eps^2 (v + v')), or their inverses, overflow: 2 eps^2 |v| must stay
-    within EXP_LIMIT.
+    exp(-eps^2 (v + v')), or their inverses, overflow: eps^2 must be finite
+    and 2 eps^2 |v| within EXP_LIMIT.
     """
     tiles = sorted(tiles)
     if len(tiles) > 2:
@@ -128,7 +132,12 @@ def _tile_values(tiles, model) -> dict[str, float]:
         raise TypeError(f"unknown model {model!r}")
     values = dict(zip(tiles, (model.v_a, model.v_b)))
     if isinstance(model, HoppingModel):
-        exponent = 2.0 * model.eps**2 * max(abs(v) for v in values.values())
+        # a product, not eps**2: the power raises OverflowError past |eps| ~ 1.34e154
+        square = model.eps * model.eps
+        if not np.isfinite(square):
+            raise ValueError(f"hopping model overflows: eps^2 is not finite at eps = "
+                             f"{model.eps:.6g}")
+        exponent = 2.0 * square * max(abs(v) for v in values.values())
         if not exponent <= EXP_LIMIT:
             raise ValueError(f"hopping model overflows exp: 2 eps^2 |v| = {exponent:.6g} "
                              f"exceeds {EXP_LIMIT:.6g}")
@@ -144,6 +153,13 @@ def _gershgorin(d: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(np.min(d - radius)), float(np.max(d + radius))
 
 
+def _block_height(width: int) -> int:
+    """Sites per block of a pass over width shifts: STURM_BLOCK, and up to
+    eight times that in a narrow pass, whose block stays small and whose
+    per-block calls are then spread over more sites."""
+    return min(8 * STURM_BLOCK, max(STURM_BLOCK, BLOCK_PIVOTS // max(width, 1)))
+
+
 def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | int = False):
     """Number of eigenvalues of the tridiagonal matrix strictly below each x.
 
@@ -151,9 +167,12 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     the number of negative pivots, and a pivot smaller than PIVMIN in size is
     taken as -PIVMIN (zero pivots count as below, as in LAPACK dstebz).
     Vectorised over the shifts and blocked over sites: one 2-D subtraction
-    fills a block of STURM_BLOCK rows with d_i - x, each row is then divided
-    and subtracted in place, and the block's negative pivots are counted at
-    once; a copy of its last row carries the recurrence into the next block.
+    fills a block of rows with d_i - x, each row is then divided and
+    subtracted in place, and the block's negative pivots are counted at once;
+    a copy of its last row carries the recurrence into the next block.  A
+    block is STURM_BLOCK rows, and up to eight times that while it holds at
+    most BLOCK_PIVOTS pivots (_block_height): a narrow pass then makes fewer
+    calls a site, about a fifth less time for a few hundred shifts.
     A block runs without the guard first and again with it, site by site,
     only if it met a pivot below PIVMIN in size; a block that met none is
     what the guarded recurrence gives.  The sign count finds such pivots:
@@ -191,7 +210,8 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     n = len(d)
     shape = xs.shape
     coeffs = [0.0, *b2.tolist()]  # q_0 = (d_0 - x) - 0 / 1
-    block = np.empty((min(STURM_BLOCK, n), *shape))
+    height = _block_height(xs.size)
+    block = np.empty((min(height, n), *shape))
     signs = np.empty(block.shape, dtype=bool)
     carry, size = np.ones(shape), np.empty(shape)
     quots = np.empty_like(block)
@@ -203,8 +223,8 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     ratios, inverses = np.empty((2, len(block), lead))
     ratio_carry, total = np.zeros(lead), np.zeros(lead)
     with np.errstate(all="ignore"):  # unguarded zero pivots divide by zero
-        for start in range(0, n, STURM_BLOCK):
-            stop = min(start + STURM_BLOCK, n)
+        for start in range(0, n, height):
+            stop = min(start + height, n)
             rows, sign = block[:stop - start], signs[:stop - start]
             for guard in (False, True):
                 np.subtract(d[start:stop, None], xs, out=rows)
@@ -280,18 +300,18 @@ def _descend(path, low, up, steps, bracket, end_counts, targets, shifts, counts)
     return path[inside & (mid != l) & (mid != u) & (s < BISECT_STEPS)]
 
 
-def _subtree_mids(low, up, steps, bracket):
+def _subtree_mids(low, up, steps, bracket, cap):
     """Midpoints of the next halvings of each cell that fall inside its bracket.
 
     Breadth first over the plain bisection tree below each distinct cell; a
     midpoint outside the bracket is decided without a count and only its
     reachable half is followed.  The sweep takes another level while the
-    midpoints taken so far number at most TWO_LEVEL_SHIFTS.
+    midpoints taken so far number at most cap.
     """
     _, first = np.unique(0.5 * (low + up), return_index=True)
     low, up, steps, ends = low[first], up[first], steps[first], bracket[:, first]
     taken, total = [np.empty(0)], 0
-    while len(low) and (len(taken) == 1 or total <= TWO_LEVEL_SHIFTS):
+    while len(low) and (len(taken) == 1 or total <= cap):
         mid = 0.5 * (low + up)
         live = (mid != low) & (mid != up) & (steps < BISECT_STEPS)
         inside = live & (ends[0] < mid) & (mid < ends[1])
@@ -303,6 +323,44 @@ def _subtree_mids(low, up, steps, bracket):
         steps = np.concatenate([steps[left], steps[right]]) + 1
         ends = np.concatenate([ends[:, left], ends[:, right]], axis=1)
     return np.concatenate(taken)
+
+
+def _aimed_mids(low, up, steps, ends, aim, whole=False):
+    """The plain bisection path of each cell toward aim, to its last halving.
+
+    A midpoint outside (ends[0], ends[1]) is decided by the ends with no
+    count; one inside them is taken, and the path goes on toward aim (down
+    where aim is at or below it), or with whole=True on both ways, the whole
+    subtree inside the ends.  Returns each cell as the path meets its first
+    midpoint inside the ends (or as it ends), and the midpoints taken.
+    """
+    low, up, steps = low.copy(), up.copy(), steps.copy()
+    while True:  # the halvings the ends decide, all cells in step
+        mid = 0.5 * (low + up)
+        below, above = mid <= ends[0], mid >= ends[1]
+        move = (below | above) & (mid != low) & (mid != up) & (steps < BISECT_STEPS)
+        if not move.any():
+            break
+        np.copyto(low, mid, where=move & below)
+        np.copyto(up, mid, where=move & above)
+        steps += move
+    cell, taken = np.array([low, up, steps], dtype=float), [np.empty(0)]
+    while len(low):
+        mid = 0.5 * (low + up)
+        live = (mid != low) & (mid != up) & (steps < BISECT_STEPS)
+        inside = live & (ends[0] < mid) & (mid < ends[1])
+        taken.append(mid[inside])
+        if whole:
+            left, right = live & (mid > ends[0]), live & (mid < ends[1])
+            low = np.concatenate([low[left], mid[right]])
+            up = np.concatenate([mid[left], up[right]])
+            steps = np.concatenate([steps[left], steps[right]]) + 1
+            ends = np.concatenate([ends[:, left], ends[:, right]], axis=1)
+            continue
+        down = np.where(inside, aim <= mid, mid >= ends[1])
+        low, up = np.where(down, low, mid)[live], np.where(down, mid, up)[live]
+        steps, ends, aim = steps[live] + 1, ends[:, live], aim[live]
+    return cell, np.concatenate(taken)
 
 
 def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
@@ -322,13 +380,23 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
     counted so that it tightens (A, B).  A step short of half the one before
     is a cluster's geometric approach and takes the whole series
     (_newton_step); a step that leaves the bracket or does not shrink is a
-    bisection of (A, B).  An iterate converges on a level (a vanished pivot)
-    or once its Newton step is under delta.  A converged iterate x is
-    certified by counting at x -/+ delta in the next pass, which makes (A, B)
-    a few ulps wide, and the finishing halvings count only the few midpoints
-    inside it.  An index that has spent NEWTON_STEPS passes and no longer
-    halves its step, or whose certification fails (a bracket tightened on
-    one side only), goes on by halvings from the bracket it has.  Every
+    bisection of (A, B).
+
+    An iterate converges on a level (a vanished pivot), once its Newton step
+    is under delta, or one evaluation earlier, once the quadratic rate of its
+    last two steps puts the next one under delta: its Newton iterate x is then
+    final.  The next pass counts x -/+ delta, the certification, and in the
+    same call the halvings inside that window: from the index's cell the
+    window's ends decide every halving down to the window, and inside it the
+    path is aimed at x (_aimed_mids; a narrow pass takes the window's whole
+    subtree).  A certified index, its bracket inside the window, jumps to its
+    cell at the window and finishes its halvings from the counts already
+    made; one whose path parted from the aim inside the window goes on aimed
+    at x in the next pass.  A predicted iterate whose certification fails
+    resumes its Newton steps 2 delta past the probe that failed; a converged
+    one whose certification fails, and an index that has spent NEWTON_STEPS
+    passes and no longer halves its step, go on by halvings from the bracket
+    they have, by subtrees of about SPARE_SHIFTS midpoints a pass.  Every
     pass is one _sturm_count call over all shifts, with the slope at the
     Newton iterates only.
     """
@@ -350,8 +418,11 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
     # bounds count 0 and n
     bracket = np.array([low, up])
     end_counts = np.array([np.zeros(n, dtype=np.int64), np.full(n, n)])
+    # the Newton iterate and its last step: 0 once converged, the step itself
+    # for an iterate predicted to have converged
     x, last_step = np.empty(n), np.full(n, np.inf)
     tries, untried = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
+    aimed = np.zeros(n, dtype=bool)  # certified: its halvings are aimed at x
     path, newton, certify = np.arange(n), np.arange(0), np.arange(0)
     shifts, counts = np.empty(0), np.empty(0, dtype=np.int64)
     while True:
@@ -364,12 +435,31 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
         newton = np.concatenate([newton, isolated])
         if not (len(path) or len(newton) or len(certify)):
             break
+        # the bracket each converged iterate gets if x -/+ delta certify it,
+        # and the halvings toward x inside it, counted in the same pass
+        window = np.array([np.maximum(bracket[0, certify], x[certify] - delta),
+                           np.minimum(bracket[1, certify], x[certify] + delta)])
         owner = np.concatenate([certify, certify])
         probes = np.concatenate([x[certify] - delta, x[certify] + delta])
         inside = (bracket[0, owner] < probes) & (probes < bracket[1, owner])
         owner, probes = owner[inside], probes[inside]
-        shifts = np.unique(np.concatenate([
-            _subtree_mids(low[path], up[path], steps[path], bracket[:, path]), probes]))
+        walk, halve = path[aimed[path]], path[~aimed[path]]
+        fresh, lost_cells = halve[untried[halve]], halve[~untried[halve]]
+        # an index that left its Newton steps halves by subtrees of at most
+        # SPARE_SHIFTS midpoints a pass, not by the wide sweeps of the start
+        mids = np.concatenate([
+            _subtree_mids(low[fresh], up[fresh], steps[fresh], bracket[:, fresh],
+                          TWO_LEVEL_SHIFTS),
+            _subtree_mids(low[lost_cells], up[lost_cells], steps[lost_cells],
+                          bracket[:, lost_cells], SPARE_SHIFTS // 2),
+            probes])
+        # a narrow pass counts whole windows (about 8 midpoints each), so no
+        # halving toward a level that rounds the other way is left over
+        whole = len(mids) + len(newton) + 8 * (len(certify) + len(walk)) <= SPARE_SHIFTS
+        entry, aimed_mids = _aimed_mids(low[certify], up[certify], steps[certify], window,
+                                        x[certify], whole)
+        shifts = np.unique(np.concatenate([mids, aimed_mids, _aimed_mids(
+            low[walk], up[walk], steps[walk], bracket[:, walk], x[walk], whole)[1]]))
         k = len(newton)
         counts, slopes = _sturm_count(d, b2, np.concatenate([x[newton], shifts]), slope=k)
         newton_counts, counts = counts[:k], counts[k:]
@@ -377,8 +467,23 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
                  end_counts, targets)
         _tighten(newton, x[newton], newton_counts, bracket, end_counts, targets)
         done, lost = _newton_step(newton, slopes, x, last_step, tries, bracket, delta)
-        path = np.concatenate([path, certify, newton[lost]])
-        certify, newton = newton[done], newton[~done & ~lost]
+        # a certified index walks on from its cell at the window, where every
+        # halving above was decided by the window's ends
+        certified = (bracket[0, certify] >= window[0]) & (bracket[1, certify] <= window[1])
+        ok = certify[certified]
+        low[ok], up[ok], steps[ok] = entry[0, certified], entry[1, certified], entry[2, certified]
+        aimed[ok] = True
+        # a predicted iterate that fails certification resumes its Newton
+        # steps from inside its bracket, 2 delta past the probe that failed
+        retry = ~certified & (last_step[certify] > 0)
+        again = certify[retry]
+        x[again] = np.where(bracket[0, again] > x[again], x[again] + 2.0 * delta,
+                            x[again] - 2.0 * delta)
+        away = again[~((bracket[0, again] < x[again]) & (x[again] < bracket[1, again]))]
+        x[away] = 0.5 * (bracket[0, away] + bracket[1, away])
+        last_step[again] = np.inf
+        path = np.concatenate([path, certify[~retry], newton[lost]])
+        certify, newton = newton[done], np.concatenate([newton[~done & ~lost], again])
     return EnergySpectrum(0.5 * np.sort(0.5 * (low + up)))
 
 
@@ -400,13 +505,16 @@ def _newton_step(newton, slopes, x, last_step, tries, bracket, delta):
     step that leaves the bracket, or is not shorter than the step before, is
     replaced by the bracket's midpoint.  An iterate converges where a pivot
     vanished (a non-finite slope sum: it sits on a level) or where its step
-    is under delta (the first step too).  Its Newton iterate (itself for a
-    NaN sum), clipped into the bracket (a step that rounds out of it lands
-    next to an end), is the one to certify.  Returns the masks of the
-    converged indices and of those that go on by halvings: a bracket
-    without interior, or NEWTON_STEPS passes spent and a last step that was
-    no Newton step at least halving the one before (an iterate still
-    converging goes on).
+    is under delta (the first step too); its last step is then set to 0.  It
+    is done one evaluation earlier where a Newton step at most half the one
+    before predicts a next step, size * ratio^2 at a quadratic rate, that
+    the rounding of x + step keeps under delta; its last step stays its own
+    size.  A done iterate's Newton iterate (itself for a NaN sum), clipped
+    into the bracket (a step that rounds out of it lands next to an end), is
+    the one to certify.  Returns the masks of the done indices and of those
+    that go on by halvings: a bracket without interior, or NEWTON_STEPS
+    passes spent and a last step that was no Newton step at least halving
+    the one before (an iterate still converging goes on).
     """
     here, ends = x[newton], bracket[:, newton]
 
@@ -417,15 +525,21 @@ def _newton_step(newton, slopes, x, last_step, tries, bracket, delta):
         step = -1.0 / slopes
         size = np.abs(step)
         ratio = size / last_step[newton]
-        done = ~np.isfinite(slopes) | (size < delta)
+        converged = ~np.isfinite(slopes) | (size < delta)
+        # a quadratic rate puts the next step near size * ratio^2; with the
+        # rounding of here + step, the iterate then lies within delta of its level
+        predicted = ((ratio > 0.0) & (ratio <= 0.5)
+                     & (size * ratio * ratio < delta - 0.5 * np.spacing(np.abs(here))))
         guess = here + np.where(ratio > 0.5, step / (1.0 - ratio), step)
+    done = converged | (predicted & inside(here + step))
     guess = np.where(inside(guess), guess,
                      0.5 * (here + step + np.where(step > 0, ends[1], ends[0])))
     newton_ok = inside(guess) & (ratio < 1.0)
     guess = np.where(done, np.clip(np.where(np.isnan(step), here, here + step), ends[0], ends[1]),
                      np.where(newton_ok, guess, 0.5 * (ends[0] + ends[1])))
     x[newton] = guess
-    last_step[newton] = np.where(newton_ok, np.abs(guess - here), np.inf)
+    last_step[newton] = np.where(converged, 0.0,
+                                 np.where(newton_ok | done, np.abs(guess - here), np.inf))
     tries[newton] += 1
     spent = (tries[newton] >= NEWTON_STEPS) & ~(newton_ok & (ratio <= 0.5))
     return done, ~done & (~inside(guess) | spent)

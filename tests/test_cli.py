@@ -282,6 +282,9 @@ LONG_TILE = ('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, '
     # 2 eps^2 |v| = 1800: the squared bonds overflow exp
     ("gaps --model hopping --eps 30", "--va", "-1"),
     ("spectrum --model hopping --eps 30", "--va", "-1"),
+    # eps^2 itself overflows a float
+    ("spectrum --model hopping", "--eps", "1e200"),
+    ("gaps --model hopping", "--eps", "1e200"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, text):
     # flags ending in -file read the text from a file, the others take it as is

@@ -153,6 +153,15 @@ def test_classify_rudin_shapiro_ac():
     assert not cls.peaks
 
 
+@pytest.mark.parametrize("images", [{"a": "bab", "b": "ab"}, {"a": "b", "b": "aba"}])
+def test_classify_pure_point_rule_with_a_bragg_peak_at_the_grid_end(images):
+    # the grid's last point, 4 pi, lies in 2 pi Z and holds nearly all of the
+    # grid's sum for these rules; it must not set the level peaks rise above
+    rule = SubstitutionRule(("a", "b"), images)
+    cls = classify_spectrum(rule, orders=(8, 10, 12, 14))
+    assert "PP" in cls.tags and "AC" not in cls.tags
+
+
 def test_classify_period_doubling_dyadic_bragg():
     cls = classify_spectrum(builtin_rule("period-doubling"), orders=(8, 10, 12, 14))
     assert set(cls.tags) == {"PP"}

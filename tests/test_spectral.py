@@ -189,8 +189,9 @@ def reference_eigenvalues(chain):
 
 @st.composite
 def integer_chains_and_shifts(draw):
-    # integer levels and integer or dyadic shifts hit exact zero pivots
-    n = draw(st.integers(1, 50))
+    # integer levels and integer or dyadic shifts hit exact zero pivots; up
+    # to three blocks of a narrow pass
+    n = draw(st.integers(1, 150))
     onsite = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     hopping = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
                             min_size=n - 1, max_size=n - 1))
@@ -242,14 +243,15 @@ def test_edge_pivots_count_as_the_guarded_recurrence(pivot):
     # the same pivot at every row of a block and across block ends: a zero
     # bond before the site makes its pivot d_i - x exactly, and the unit bond
     # after it carries the guarded (or kept) value on
-    n = 2 * spectral.STURM_BLOCK + 3
+    xs = np.array([0.0, 0.5, -3.0, 0.0, 2.5])
+    n = 2 * spectral._block_height(len(xs)) + 3
     for site in range(n):
         d = np.ones(n)
         d[site] = pivot
         b2 = np.ones(n - 1)
         if site:
             b2[site - 1] = 0.0
-        assert_counts_are_the_reference(d, b2, np.array([0.0, 0.5, -3.0, 0.0, 2.5]))
+        assert_counts_are_the_reference(d, b2, xs)
 
 
 @st.composite
@@ -280,9 +282,10 @@ def test_edge_pivot_chains_are_the_plain_recurrence_bit_for_bit(case):
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
 def test_non_finite_chains_count_as_the_plain_recurrence(entry):
-    n = spectral.STURM_BLOCK + 5
     xs = np.array([-3.0, 0.0, PIVMIN, 1.0, 3.0])
-    for site in (0, 1, spectral.STURM_BLOCK - 1, spectral.STURM_BLOCK, n - 1):
+    height = spectral._block_height(len(xs))
+    n = height + 5
+    for site in (0, 1, height - 1, height, n - 1):
         d, b2 = np.linspace(-1.0, 1.0, n), np.ones(n - 1)
         d[site] = entry
         assert_counts_are_the_reference(d, b2, xs)
@@ -367,13 +370,15 @@ def test_eigenvalues_are_the_plain_bisection_bit_for_bit():
     chain = TightBindingChain(np.zeros(n), np.ones(n - 1))
     assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
                           reference_eigenvalues(chain))
-    # isolated brackets finished by Newton steps and count-free halvings, on a
-    # chain with no substitution behind it, under both models
-    word = cp_word(CPParams.from_text("1/golden"), 0, 1000)
-    for model in (OnsiteModel(0.0, 1.0), HoppingModel(0.0, 1.0, 1.0)):
-        chain = build_chain(word, model)
-        assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
-                              reference_eigenvalues(chain)), model
+    # isolated brackets finished by Newton steps and count-free halvings, on
+    # chains with no substitution behind them, under both models; the 5/13
+    # chain's iterates approach clusters and sum their series
+    for slope in ("1/golden", "5/13"):
+        word = cp_word(CPParams.from_text(slope), 0, 1000)
+        for model in (OnsiteModel(0.0, 1.0), HoppingModel(0.0, 1.0, 1.0)):
+            chain = build_chain(word, model)
+            assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
+                                  reference_eigenvalues(chain)), (slope, model)
     # near-degenerate edge pairs that never isolate go on by halvings
     rule = builtin_rule("period-doubling")
     chain = build_chain(rule.project(expand_word(rule, "a", 10)), OnsiteModel(0.0, 1.0))
@@ -418,15 +423,17 @@ def assert_few_narrow_passes(monkeypatch, rel=0.0):
     calls = kernel_calls(monkeypatch, build_chain(word, OnsiteModel(0.0, 1.0)), rel)
     passes = sum(SLOPE_PASS if lead else 1.0 for _, lead in calls)
     shifts = sum(width + (SLOPE_SHIFT - 1.0) * lead for width, lead in calls)
-    assert len(calls) <= 16
-    assert passes <= 26.5
-    assert shifts <= 45000
+    assert len(calls) <= 14
+    assert passes <= 23.5
+    assert shifts <= 43500
 
 
 def test_eigen_solve_makes_few_narrow_passes(monkeypatch):
-    # the cost of one N = 2000 solve, deterministic: 15 kernel passes, 24.0
-    # weighted passes and 38781 weighted shifts, against 50 passes and 87321
-    # shifts for the plain bisection; the bounds leave 7-16% headroom, so a
+    # the cost of one N = 2000 solve, deterministic: 13 kernel passes, 21.25
+    # weighted passes and 37723 weighted shifts (15, 24.0 and 38781 before
+    # iterates stopped one Newton evaluation early and certified indices
+    # finished in their certification pass), against 50 passes and 87321
+    # shifts for the plain bisection; the bounds leave 8-15% headroom, so a
     # tail of nearly empty passes or wide slope passes fails here
     assert_few_narrow_passes(monkeypatch)
 
@@ -440,21 +447,41 @@ def test_few_narrow_passes_with_slope_sums_off_by_rounding(monkeypatch, rel):
 def test_cluster_approach_leaves_no_tail_of_passes(monkeypatch):
     # Newton iterates next to a cluster approach it geometrically; taking the
     # whole series keeps them from running out of Newton passes and going on
-    # by wide halving sweeps (19 passes and 26539 shifts before, 14 and 15303)
+    # by wide halving sweeps (19 passes and 26539 shifts before the series,
+    # 14 and 15303 before the early stop, 13 and 14849 now)
     word = cp_word(CPParams.from_text("5/13"), 0, 1000)
     calls = kernel_calls(monkeypatch, build_chain(word, HoppingModel(0.0, 1.0, 1.0)))
-    assert len(calls) <= 15
-    assert sum(width for width, _ in calls) <= 18000
+    assert len(calls) <= 14
+    assert sum(width for width, _ in calls) <= 17500
 
 
 @pytest.mark.parametrize("model", [OnsiteModel(0.0, 1.0), HoppingModel(0.0, 1.0, 1.0)],
                          ids=["onsite", "hopping"])
 def test_golden_4000_solve_counts_few_shifts(monkeypatch, model):
-    # 44823 (on-site) and 44735 (hopping) shifts, 54991 and 53529 before the
-    # lean Sturm pass and the cluster series
+    # 49227 (on-site) and 47132 (hopping) shifts in 16 and 17 passes, 16876
+    # and 16846 of them with slope sums; 44823 and 44735 shifts in 18 passes
+    # each, 20779 and 20668 with slopes, before iterates stopped one Newton
+    # evaluation early (a second certification probe for each index, one
+    # slope sum fewer); 54991 and 53529 shifts before the lean Sturm pass and
+    # the cluster series
     word = cp_word(CPParams.from_text("1/golden"), 0, 4000)
     calls = kernel_calls(monkeypatch, build_chain(word, model))
     assert sum(width for width, _ in calls) <= 50000
+    assert sum(lead for _, lead in calls) <= 18500
+    assert len(calls) <= 18
+
+
+def test_lost_iterate_halves_in_narrow_passes(monkeypatch):
+    # index 3777 of this chain sits 6.7e-6 from its neighbour, spends its
+    # Newton passes and goes on by halvings; once the other indices are done
+    # its passes count subtrees of at most SPARE_SHIFTS midpoints, where they
+    # took 2047 (passes of 2095, 2096 and 2065 shifts before)
+    word = cp_word(CPParams.from_text("1/golden", phason=0.3), 17, 4000)
+    calls = kernel_calls(monkeypatch, build_chain(word, OnsiteModel(0.0, 1.0)))
+    last_busy = max(i for i, (_, lead) in enumerate(calls) if lead >= 10)
+    tail = [width for width, _ in calls[last_busy + 1:]]
+    assert max(tail) <= spectral.SPARE_SHIFTS + 32
+    assert len(tail) <= 6
 
 
 @pytest.mark.parametrize("d, b, level", [
