@@ -325,14 +325,13 @@ def _subtree_mids(low, up, steps, bracket, cap):
     return np.concatenate(taken)
 
 
-def _aimed_mids(low, up, steps, ends, aim, whole=False):
+def _aimed_mids(low, up, steps, ends, aim):
     """The plain bisection path of each cell toward aim, to its last halving.
 
     A midpoint outside (ends[0], ends[1]) is decided by the ends with no
     count; one inside them is taken, and the path goes on toward aim (down
-    where aim is at or below it), or with whole=True on both ways, the whole
-    subtree inside the ends.  Returns each cell as the path meets its first
-    midpoint inside the ends (or as it ends), and the midpoints taken.
+    where aim is at or below it).  Returns each cell as the path meets its
+    first midpoint inside the ends (or as it ends), and the midpoints taken.
     """
     low, up, steps = low.copy(), up.copy(), steps.copy()
     while True:  # the halvings the ends decide, all cells in step
@@ -350,13 +349,6 @@ def _aimed_mids(low, up, steps, ends, aim, whole=False):
         live = (mid != low) & (mid != up) & (steps < BISECT_STEPS)
         inside = live & (ends[0] < mid) & (mid < ends[1])
         taken.append(mid[inside])
-        if whole:
-            left, right = live & (mid > ends[0]), live & (mid < ends[1])
-            low = np.concatenate([low[left], mid[right]])
-            up = np.concatenate([mid[left], up[right]])
-            steps = np.concatenate([steps[left], steps[right]]) + 1
-            ends = np.concatenate([ends[:, left], ends[:, right]], axis=1)
-            continue
         down = np.where(inside, aim <= mid, mid >= ends[1])
         low, up = np.where(down, low, mid)[live], np.where(down, mid, up)[live]
         steps, ends, aim = steps[live] + 1, ends[:, live], aim[live]
@@ -393,10 +385,11 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
     cell at the window and finishes its halvings from the counts already
     made; one whose path parted from the aim inside the window goes on aimed
     at x in the next pass.  A predicted iterate whose certification fails
-    resumes its Newton steps 2 delta past the probe that failed; a converged
-    one whose certification fails, and an index that has spent NEWTON_STEPS
-    passes and no longer halves its step, go on by halvings from the bracket
-    they have, by subtrees of about SPARE_SHIFTS midpoints a pass.  Every
+    resumes its Newton steps delta past the probe that failed, while it has
+    spent fewer than NEWTON_STEPS passes; a converged one whose certification
+    fails, a predicted one past that, and an index that has spent
+    NEWTON_STEPS passes and no longer halves its step go on by halvings from
+    the bracket they have.  Every
     pass is one _sturm_count call over all shifts, with the slope at the
     Newton iterates only.
     """
@@ -444,22 +437,21 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
         inside = (bracket[0, owner] < probes) & (probes < bracket[1, owner])
         owner, probes = owner[inside], probes[inside]
         walk, halve = path[aimed[path]], path[~aimed[path]]
-        fresh, lost_cells = halve[untried[halve]], halve[~untried[halve]]
-        # an index that left its Newton steps halves by subtrees of at most
-        # SPARE_SHIFTS midpoints a pass, not by the wide sweeps of the start
         mids = np.concatenate([
-            _subtree_mids(low[fresh], up[fresh], steps[fresh], bracket[:, fresh],
-                          TWO_LEVEL_SHIFTS),
-            _subtree_mids(low[lost_cells], up[lost_cells], steps[lost_cells],
-                          bracket[:, lost_cells], SPARE_SHIFTS // 2),
-            probes])
-        # a narrow pass counts whole windows (about 8 midpoints each), so no
-        # halving toward a level that rounds the other way is left over
-        whole = len(mids) + len(newton) + 8 * (len(certify) + len(walk)) <= SPARE_SHIFTS
+            _subtree_mids(low[halve], up[halve], steps[halve], bracket[:, halve],
+                          TWO_LEVEL_SHIFTS), probes])
         entry, aimed_mids = _aimed_mids(low[certify], up[certify], steps[certify], window,
-                                        x[certify], whole)
-        shifts = np.unique(np.concatenate([mids, aimed_mids, _aimed_mids(
-            low[walk], up[walk], steps[walk], bracket[:, walk], x[walk], whole)[1]]))
+                                        x[certify])
+        if len(mids) + len(newton) + 8 * (len(certify) + len(walk)) <= SPARE_SHIFTS:
+            # a narrow pass counts whole windows (about 8 midpoints each), so
+            # no halving toward a level that rounds the other way is left over
+            aimed_mids = np.concatenate([
+                _subtree_mids(*entry, window, np.inf),
+                _subtree_mids(low[walk], up[walk], steps[walk], bracket[:, walk], np.inf)])
+        else:
+            aimed_mids = np.concatenate([aimed_mids, _aimed_mids(
+                low[walk], up[walk], steps[walk], bracket[:, walk], x[walk])[1]])
+        shifts = np.unique(np.concatenate([mids, aimed_mids]))
         k = len(newton)
         counts, slopes = _sturm_count(d, b2, np.concatenate([x[newton], shifts]), slope=k)
         newton_counts, counts = counts[:k], counts[k:]
@@ -474,8 +466,9 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
         low[ok], up[ok], steps[ok] = entry[0, certified], entry[1, certified], entry[2, certified]
         aimed[ok] = True
         # a predicted iterate that fails certification resumes its Newton
-        # steps from inside its bracket, 2 delta past the probe that failed
-        retry = ~certified & (last_step[certify] > 0)
+        # steps from inside its bracket, delta past the probe that failed,
+        # while it has Newton passes left
+        retry = ~certified & (last_step[certify] > 0) & (tries[certify] < NEWTON_STEPS)
         again = certify[retry]
         x[again] = np.where(bracket[0, again] > x[again], x[again] + 2.0 * delta,
                             x[again] - 2.0 * delta)
