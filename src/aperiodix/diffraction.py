@@ -11,12 +11,18 @@ family of period doubling, the singular thirds family of Thue-Morse, and the
 flat Rudin-Shapiro background, which is what the peak classification is
 about.
 
-Chains without a rule behind them are summed atom by atom.  Rule-level
-amplitudes (contrast spectra, the classification grid, peak scaling) use the
-substitution's self-similarity instead: sigma^n(s) is a run of supertiles
-sigma^m(c), m = n // 2, each placed at the chain's own position of its start,
-so one k costs about 2 sqrt(N) exponentials instead of N
-(_supertile_amplitude).  One rule-level call solves the rule's Perron data
+Whole chains (structure_factor_grid, with or without a rule behind them) are
+evaluated on one uniform grid k_j = k_min + j h, so each phase factorises:
+with R = ceil(sqrt(samples)) and j = qR + r, e^{-i k_j x} = e^{-i (k_min + qRh) x}
+e^{-i rhx}, and the grid costs (Q + R) N exponentials plus one contraction
+over the atoms instead of samples N exponentials (_uniform_grid_amplitudes).
+Rule-level amplitudes (contrast spectra, the classification grid, peak
+scaling) use the substitution's self-similarity instead: sigma^n(s) is a run
+of supertiles sigma^m(c), m = n // 2, each placed at the chain's own position
+of its start, so one k costs about 2 sqrt(N) exponentials instead of N
+(_supertile_amplitude).  Their parts go through the plain per-k sum
+(_grid_amplitudes), because the peak zoom calls them on concatenated windows,
+not on one uniform grid.  One rule-level call solves the rule's Perron data
 once and expands its words once for all its orders (_contrast_chains).
 
 Growth exponents gamma are fitted on S(k*) ~ L^gamma (Bragg peaks saturate
@@ -78,9 +84,9 @@ class SpectrumClassification:
 
 def structure_factor_grid(chain: AtomChain, k_min: float, k_max: float,
                           samples: int) -> DiffractionSpectrum:
-    """S(k) = |G(k)|^2 / N on a uniform grid."""
+    """S(k) = |G(k)|^2 / N on a uniform grid, by the factorised phase sum."""
     return _grid_spectrum(
-        chain, lambda ks: np.abs(_grid_amplitudes(chain.positions, None, ks)),
+        chain, lambda ks: np.abs(_uniform_grid_amplitudes(chain.positions, ks)),
         k_min, k_max, samples)
 
 
@@ -89,21 +95,57 @@ def _grid_spectrum(chain: AtomChain, amplitude, k_min: float, k_max: float,
     """S(k) = amplitude(k)^2 / N on the uniform grid of [k_min, k_max]."""
     if samples < 2 or not k_min < k_max:
         raise ValueError("need samples >= 2 and k_min < k_max")
+    if not math.isfinite(k_max - k_min):
+        raise ValueError(f"k_max - k_min must be finite, got {k_max - k_min}")
     ks = np.linspace(k_min, k_max, samples)
     return DiffractionSpectrum(ks, amplitude(ks)**2 / chain.n_atoms,
                                chain.n_atoms, chain.total_length)
 
 
+def _uniform_grid_amplitudes(positions: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """G(k) = sum exp(-i k x_n) (complex) on a uniform grid ks, as np.linspace gives.
+
+    With h = (k_max - k_min) / (samples - 1), R = ceil(sqrt(samples)) and
+    Q = ceil(samples / R), grid point qR + r has the phase
+    e^{-i (k_min + qRh) x} e^{-i rhx}: a Q-column block A and an R-column
+    block B of exponentials per atom, and G on the Q x R grid is the
+    contraction sum_n A[n, q] B[n, r], cut back to samples points.  That is
+    (Q + R) N exponentials instead of samples N.  The atoms are taken in
+    blocks of at most 2^18 / (Q + R), accumulated in atom order, so a block
+    holds about as many elements as a chunk of _grid_amplitudes.  einsum
+    without optimize contracts in numpy's own loops (no BLAS, no threads), so
+    the result is the same bit for bit on every run.
+    """
+    samples = len(ks)
+    h = (ks[-1] - ks[0]) / (samples - 1)
+    n_r = math.isqrt(samples - 1) + 1
+    n_q = -(-samples // n_r)
+    coarse = ks[0] + (n_r * h) * np.arange(n_q)
+    fine = h * np.arange(n_r)
+    block = (1 << 18) // (n_q + n_r)
+    total = np.zeros((n_q, n_r), dtype=complex)
+    for start in range(0, len(positions), block):
+        x = positions[start:start + block, None]
+        outer = -1j * x * coarse
+        inner = -1j * x * fine
+        np.exp(outer, out=outer)
+        np.exp(inner, out=inner)
+        total += np.einsum("jq,jr->qr", outer, inner, optimize=False)
+    return total.ravel()[:samples]
+
+
 def _grid_amplitudes(positions: np.ndarray, weights, ks: np.ndarray) -> np.ndarray:
     """G(k) = sum w_n exp(-i k x_n) (complex) for every k, chunked to bound memory.
 
-    The one phase sum of the module: whole chains without a rule behind them
-    go through it as one block, rule-level chains supertile by supertile
-    (_supertile_amplitude).  numpy reduces axis 0 of a block two or more
-    columns wide row by row, so each k's sum runs over the atoms in order,
-    whatever the other k of the grid; a one-column block would be summed
-    pairwise instead, so a one-column tail is folded into the chunk before
-    it, and only a single-k call (a one-column grid) is summed pairwise.
+    The per-k phase sum behind rule-level amplitudes, taken supertile by
+    supertile (_supertile_amplitude).  Their k-vectors are not one uniform
+    grid (the peak zoom concatenates windows), so they cannot take the
+    factorised sum of _uniform_grid_amplitudes.  numpy reduces axis 0 of a
+    block two or more columns wide row by row, so each k's sum runs over the
+    atoms in order, whatever the other k of the grid; a one-column block
+    would be summed pairwise instead, so a one-column tail is folded into the
+    chunk before it, and only a single-k call (a one-column grid) is summed
+    pairwise.
     The reduction uses no threads (no BLAS), so the result is the same bit
     for bit on every run.  The exponential is taken in place, so a chunk
     holds one complex block: about 2^18 elements, or eight columns of a

@@ -271,6 +271,9 @@ LONG_TILE = ('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, '
     ("spectrum --model hopping", "--eps", "nan"),
     ("diffract", "--kmax", "inf"),
     ("diffract", "--kmin", "nan"),
+    # each end is finite, k_max - k_min is not
+    ("diffract --kmin -1e308", "--kmax", "1e308"),
+    ("diffract --contrast --kmin -1e308", "--kmax", "1e308"),
     ("gaps", "--tol", "nan"),
     ("bloch", "--tol", "nan"),
     ("gaps", "--rel-threshold", "inf"),

@@ -57,6 +57,9 @@ def test_structure_factor_grid_validation():
         structure_factor_grid(chain, 1.0, 0.0, 100)
     with pytest.raises(ValueError):
         structure_factor_grid(chain, 0.0, 1.0, 1)
+    # each end is finite, the grid's width overflows
+    with pytest.raises(ValueError, match="finite"):
+        structure_factor_grid(chain, -1e308, 1e308, 16)
 
 
 def test_periodic_comb():
@@ -286,6 +289,46 @@ def test_contrast_amplitude_equals_whole_chain_sum(family, order):
     whole = diffraction._grid_amplitudes(chain.positions, contrast_weights(chain), ks)
     s_direct = np.abs(whole) ** 2 / chain.n_atoms
     assert np.max(np.abs(s_fact - s_direct)) <= 1e-9 * s_direct.max()
+
+
+@st.composite
+def uniform_grids(draw):
+    """Sorted random positions and a uniform grid, k_min of either sign."""
+    n = draw(st.integers(1, 300))
+    positions = np.sort(np.array(draw(st.lists(
+        st.floats(0.0, 500.0), min_size=n, max_size=n))))
+    # 2, 3, perfect squares, and any count up to 2100, most of them no
+    # multiple of R = ceil(sqrt(samples)), so the last row of the grid is short
+    samples = draw(st.one_of(st.sampled_from([2, 3]),
+                             st.integers(2, 45).map(lambda r: r * r),
+                             st.integers(4, 2100)))
+    k_min = draw(st.floats(-20.0, 20.0))
+    return positions, samples, k_min, k_min + draw(st.floats(0.01, 30.0))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(uniform_grids())
+def test_structure_factor_grid_equals_direct_sum(grid):
+    positions, samples, k_min, k_max = grid
+    chain = AtomChain(positions, "a" * len(positions), float(positions[-1]) + 1.0, 1.0)
+    spec = structure_factor_grid(chain, k_min, k_max, samples)
+    assert np.array_equal(spec.k_values, np.linspace(k_min, k_max, samples))
+    direct = direct_amplitudes(positions, np.ones(len(positions)), spec.k_values)
+    s_direct = direct ** 2 / chain.n_atoms
+    assert np.max(np.abs(spec.S - s_direct)) <= 1e-9 * s_direct.max()
+
+
+def test_structure_factor_grid_over_many_atom_blocks():
+    # 40000 atoms on 2048 k take blocks of 2880 atoms: 14 of them, the last short
+    positions = scaled_chain(builtin_rule("fibonacci"), 23).positions[:40000]
+    chain = AtomChain(positions, "a" * len(positions), float(positions[-1]) + 1.0, 1.0)
+    spec = structure_factor_grid(chain, 0.05, 0.05 + 4 * math.pi, 2048)
+    probe = [0, 1, 45, 46, 700, 1023, int(np.argmax(spec.S)), 2046, 2047]
+    direct = direct_amplitudes(positions, np.ones(len(positions)), spec.k_values[probe])
+    s_direct = direct ** 2 / chain.n_atoms
+    assert np.max(np.abs(spec.S[probe] - s_direct)) <= 1e-9 * spec.S.max()
+    again = structure_factor_grid(chain, 0.05, 0.05 + 4 * math.pi, 2048)
+    assert np.array_equal(spec.S, again.S)
 
 
 def test_grid_determinism():
