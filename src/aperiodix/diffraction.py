@@ -145,11 +145,10 @@ def _grid_amplitudes(positions: np.ndarray, weights, ks: np.ndarray) -> np.ndarr
     atoms in order, whatever the other k of the grid; a one-column block
     would be summed pairwise instead, so a one-column tail is folded into the
     chunk before it, and only a single-k call (a one-column grid) is summed
-    pairwise.
-    The reduction uses no threads (no BLAS), so the result is the same bit
-    for bit on every run.  The exponential is taken in place, so a chunk
-    holds one complex block: about 2^18 elements, or eight columns of a
-    longer chain.
+    pairwise.  The reduction uses no threads (no BLAS), so the result is the
+    same bit for bit on every run.  The exponential is taken in place, so a
+    chunk holds one complex block: about 2^18 elements, or eight columns of
+    a longer chain.
     """
     n = len(positions)
     chunk = max(8, min(len(ks), (1 << 18) // max(n, 1)))
