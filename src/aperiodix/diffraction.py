@@ -97,6 +97,9 @@ def _grid_spectrum(chain: AtomChain, amplitude, k_min: float, k_max: float,
         raise ValueError("need samples >= 2 and k_min < k_max")
     if not math.isfinite(k_max - k_min):
         raise ValueError(f"k_max - k_min must be finite, got {k_max - k_min}")
+    phase = max(abs(k_min), abs(k_max)) * chain.total_length
+    if not math.isfinite(phase):
+        raise ValueError(f"k x overflows: max |k| times the chain length is {phase}")
     ks = np.linspace(k_min, k_max, samples)
     return DiffractionSpectrum(ks, amplitude(ks)**2 / chain.n_atoms,
                                chain.n_atoms, chain.total_length)

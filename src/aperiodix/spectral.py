@@ -17,7 +17,10 @@ geometric approach is cut short by summing its series.  An iterate stops
 one evaluation early, once its quadratic rate puts the next step under the
 certification offset; the pass after its last step counts just either side
 of it and, on the same bet, the halvings aimed at it inside that window, so
-a certified index finishes with no further pass.  An independent
+a certified index finishes with no further pass.  A zero diagonal (the
+hopping model) makes the pivots at -x those at x negated, so such a chain
+counts each pair of shifts +-x once and counts again, in the same call, the
+few whose mirror met the PIVMIN guard (_sturm_count).  An independent
 characteristic-polynomial oracle covers small sizes for cross-checks.
 
 Chains of a substitution need no spectrum for their gaps.  lifted_counts
@@ -121,7 +124,8 @@ def _tile_values(tiles, model) -> dict[str, float]:
     """The value v of each tile a word holds: v_a and v_b in sorted order.
 
     Refuses a third tile, a model that is neither OnsiteModel nor
-    HoppingModel, and a hopping model whose squared bonds
+    HoppingModel, site energies whose Gershgorin span 2 (max |v| + 2)
+    overflows, and a hopping model whose squared bonds
     exp(-eps^2 (v + v')), or their inverses, overflow: eps^2 must be finite
     and 2 eps^2 |v| within EXP_LIMIT.
     """
@@ -131,13 +135,19 @@ def _tile_values(tiles, model) -> dict[str, float]:
     if not isinstance(model, (OnsiteModel, HoppingModel)):
         raise TypeError(f"unknown model {model!r}")
     values = dict(zip(tiles, (model.v_a, model.v_b)))
-    if isinstance(model, HoppingModel):
+    largest = max(abs(v) for v in values.values())
+    if isinstance(model, OnsiteModel):
+        span = 2.0 * (largest + 2.0)
+        if not np.isfinite(span):
+            raise ValueError(f"site energies overflow: 2 (max |v| + 2) = {span:.6g} "
+                             "is not finite")
+    else:
         # a product, not eps**2: the power raises OverflowError past |eps| ~ 1.34e154
         square = model.eps * model.eps
         if not np.isfinite(square):
             raise ValueError(f"hopping model overflows: eps^2 is not finite at eps = "
                              f"{model.eps:.6g}")
-        exponent = 2.0 * square * max(abs(v) for v in values.values())
+        exponent = 2.0 * square * largest
         if not exponent <= EXP_LIMIT:
             raise ValueError(f"hopping model overflows exp: 2 eps^2 |v| = {exponent:.6g} "
                              f"exceeds {EXP_LIMIT:.6g}")
@@ -166,6 +176,67 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     LDL pivot recurrence q_i = (d_i - x) - b_{i-1}^2 / q_{i-1}; the count is
     the number of negative pivots, and a pivot smaller than PIVMIN in size is
     taken as -PIVMIN (zero pivots count as below, as in LAPACK dstebz).
+    _pivot_counts runs the recurrence over blocks of sites, vectorised over
+    the shifts, and each shift's count is the same to the bit however the
+    shifts are grouped.
+
+    In IEEE arithmetic the count of this recurrence is monotone in x: it
+    never falls as x grows (Demmel, Dhillon & Ren, ETNA 3, 1995; the tests
+    check it at floating-point neighbours and exact zero pivots).
+    eigenvalues_tridiag rests its count-free halvings on this.
+
+    With slope=True, or slope=m for the first m shifts, the same loop also
+    sums r_i = q_i'/q_i = d/dx log|q_i|, and (count, sums) is returned: the
+    sum is d/dx log|det(T - x)| = sum_j 1/(x - lambda_j), so x - 1/sum is a
+    Newton step on the determinant.  A sum may move in its last bits with the
+    number of slope shifts in its pass.  Where a pivot vanished (the guard's
+    -PIVMIN) the sum is huge, or NaN once a later site overflows: the shift
+    sits on a level.  The counts are those without slope to the bit.
+
+    A zero diagonal (the hopping model) makes the chain bipartite, and the
+    pivots at -x are exactly those at x negated: 0 - x and the quotients
+    b^2 / q change sign with x, and IEEE rounding commutes with negation.  So
+    count(x) = n - count(-x), and the slope sum at x is the one at -x
+    negated, wherever no pivot fell under PIVMIN; the solver's shifts come in
+    nearly exact +- pairs, as its Gershgorin interval is symmetric.  Such a
+    chain counts each pair once: its shifts fold to -|x|, the ones with slope
+    sums first, and are counted in one loop, then unfold.  The guard breaks
+    the mirror (a guarded pivot is -PIVMIN at x and at -x), so an x > 0 whose
+    mirror met it is counted again as it is, in the same call.  x = 0.0 reads
+    the count at -0.0, which is its own to the bit: the first pivot is a zero
+    at both, guarded, and the pivots after it agree.  NaN shifts fold to
+    NaN, and chains with non-finite bonds are counted as they are.
+    """
+    d = np.asarray(d, dtype=float)
+    b2 = np.asarray(b2, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    lead = xs.shape[-1] if slope is True else int(slope)
+    if d.any() or not np.isfinite(b2).all():
+        count, total, _ = _pivot_counts(d, b2, xs, lead)
+        return (count, total) if slope is not False else count
+    keys, owner = np.unique(-np.abs(xs), return_inverse=True)
+    sloped = np.zeros(len(keys), dtype=bool)
+    sloped[owner[:lead]] = True
+    order = np.argsort(~sloped, kind="stable")  # the keys with slope sums first
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    owner = place[owner]
+    count, total, met = _pivot_counts(d, b2, keys[order], np.count_nonzero(sloped))
+    mirror = xs > 0.0
+    count = np.where(mirror, len(d) - count[owner], count[owner])
+    total = np.where(mirror[:lead], -total[owner[:lead]], total[owner[:lead]])
+    again = np.flatnonzero(mirror & met[owner])
+    if len(again):
+        ahead = np.count_nonzero(again < lead)
+        count[again], sums, _ = _pivot_counts(d, b2, xs[again], ahead)
+        total[again[:ahead]] = sums
+    return (count, total) if slope is not False else count
+
+
+def _pivot_counts(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, lead: int):
+    """_sturm_count's pivot loop: (counts, slope sums of the first lead
+    shifts, the shifts that met the guard).
+
     Vectorised over the shifts and blocked over sites: one 2-D subtraction
     fills a block of rows with d_i - x, each row is then divided and
     subtracted in place, and the block's negative pivots are counted at once;
@@ -180,33 +251,18 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     the block is run again only where its totals of the two differ, and the
     count is its pivots at or below -PIVMIN (a guarded pivot is -PIVMIN).
     Every operation is elementwise, so each shift's count is the same to
-    the bit however the shifts are grouped.
+    the bit however the shifts are grouped.  The guarded run marks the
+    shifts that met a pivot under PIVMIN.
 
-    In IEEE arithmetic the count of this recurrence is monotone in x: it
-    never falls as x grows (Demmel, Dhillon & Ren, ETNA 3, 1995; the tests
-    check it at floating-point neighbours and exact zero pivots).
-    eigenvalues_tridiag rests its count-free halvings on this.
-
-    With slope=True, or slope=m for the first m shifts, the same loop also
-    sums r_i = q_i'/q_i = d/dx log|q_i|, and (count, sums) is returned: the
-    sum is d/dx log|det(T - x)| = sum_j 1/(x - lambda_j), so x - 1/sum is a
-    Newton step on the determinant.  The pivot loop stores its quotients
-    quot_i = b_{i-1}^2/q_{i-1}, and r_i = (quot_i * r_{i-1} - 1) / q_i takes
-    one division a site.  From ROW_SLOPES slope shifts on, each row divides
-    on its own, three calls a site on a row that stays in cache; below, the
-    block's 1/q_i are taken at once and r_i = (quot_i / q_i) r_{i-1} - 1/q_i
-    costs two calls a site.  On the passes of an N=4000 solve the row form
-    is the faster from about 1,700 slope shifts on (0.85-0.96x at 2,100 to
-    4,000) and the block form below about 1,100 (a 2-core Xeon, numpy 2.4).
-    The two agree to rounding, so a sum may move in its last bits with the
-    number of slope shifts in its pass.  Where a pivot vanished (the
-    guard's -PIVMIN) the sum is huge, or NaN once a later site overflows:
-    the shift sits on a level.  The counts are those without slope to the
-    bit.
+    The pivot loop stores its quotients quot_i = b_{i-1}^2/q_{i-1}, and the
+    slope term r_i = (quot_i * r_{i-1} - 1) / q_i takes one division a site.
+    From ROW_SLOPES slope shifts on, each row divides on its own, three calls
+    a site on a row that stays in cache; below, the block's 1/q_i are taken
+    at once and r_i = (quot_i / q_i) r_{i-1} - 1/q_i costs two calls a site.
+    On the passes of an N=4000 solve the row form is the faster from about
+    1,700 slope shifts on (0.85-0.96x at 2,100 to 4,000) and the block form
+    below about 1,100 (a 2-core Xeon, numpy 2.4).  The two agree to rounding.
     """
-    d = np.asarray(d, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    xs = np.asarray(xs, dtype=float)
     n = len(d)
     shape = xs.shape
     coeffs = [0.0, *b2.tolist()]  # q_0 = (d_0 - x) - 0 / 1
@@ -215,11 +271,10 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     signs = np.empty(block.shape, dtype=bool)
     carry, size = np.ones(shape), np.empty(shape)
     quots = np.empty_like(block)
-    tiny = np.empty(shape, dtype=bool)
+    tiny, met = np.empty(shape, dtype=bool), np.zeros(shape, dtype=bool)
     negative = np.empty(shape, dtype=np.uint8)
     count = np.zeros(shape, dtype=np.int64)
     # slope sums over the first `lead` shifts
-    lead = xs.shape[-1] if slope is True else int(slope)
     ratios, inverses = np.empty((2, len(block), lead))
     ratio_carry, total = np.zeros(lead), np.zeros(lead)
     with np.errstate(all="ignore"):  # unguarded zero pivots divide by zero
@@ -235,6 +290,7 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
                     if guard:
                         np.less(np.abs(row, out=size), PIVMIN, out=tiny)
                         np.copyto(row, -PIVMIN, where=tiny)
+                        np.logical_or(met, tiny, out=met)
                     prev = row
                 # q < PIVMIN and q <= -PIVMIN differ exactly on |q| < PIVMIN
                 below = np.count_nonzero(np.less(rows, PIVMIN, out=sign))
@@ -261,7 +317,7 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
                         prev = ratio
                 total += np.add.reduce(ratios[:len(rows)], axis=0)
                 np.copyto(ratio_carry, prev)
-    return (count, total) if slope is not False else count
+    return count, total, met
 
 
 def _descend(path, low, up, steps, bracket, end_counts, targets, shifts, counts):

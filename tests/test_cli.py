@@ -288,6 +288,12 @@ LONG_TILE = ('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, '
     # eps^2 itself overflows a float
     ("spectrum --model hopping", "--eps", "1e200"),
     ("gaps --model hopping", "--eps", "1e200"),
+    # finite site energies whose Gershgorin span 2 (max |v| + 2) overflows
+    ("spectrum --vb -1e308", "--va", "1e308"),
+    ("gaps --vb -1e308", "--va", "1e308"),
+    # a finite grid whose phases k x overflow
+    ("diffract --samples 3", "--kmax", "1e307"),
+    ("diffract --contrast --samples 3", "--kmax", "1e307"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, text):
     # flags ending in -file read the text from a file, the others take it as is

@@ -335,6 +335,46 @@ def test_sturm_count_is_monotone_in_x(case):
         assert sums.shape == counts.shape[:-1] + (len(xs) if slope is True else slope,)
 
 
+@st.composite
+def zero_diagonal_chains_and_shifts(draw):
+    # a zero diagonal (of either sign) is counted one +-x pair at a time;
+    # dyadic shifts on bonds from {0.5, 1, 2} meet exact zero pivots at x and
+    # -x, and some cases carry mirrored shifts, +-0.0, NaN or an infinite bond
+    n = draw(st.integers(1, CROSSING))
+    onsite = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        hopping = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                min_size=n - 1, max_size=n - 1))
+        xs = draw(st.lists(st.integers(-40, 40).map(lambda k: k / 4), min_size=1, max_size=10))
+    else:
+        hopping = draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1))
+        xs = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=10))
+    mirrored = [-x for x in draw(st.lists(st.sampled_from(xs), max_size=6))]
+    extra = draw(st.lists(st.sampled_from([0.0, -0.0, math.nan]), max_size=3))
+    xs = draw(st.permutations(xs + mirrored + extra))
+    b2 = np.array(hopping) ** 2
+    if n > 1 and draw(st.integers(0, 7)) == 0:
+        b2[draw(st.integers(0, n - 2))] = math.inf
+    return np.array(onsite), b2, np.array(xs), draw(st.integers(0, len(xs)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(zero_diagonal_chains_and_shifts())
+def test_zero_diagonal_counts_each_pair_once(case):
+    d, b2, xs, lead = case
+    expected = reference_sturm_count(d, b2, xs)
+    assert np.array_equal(_sturm_count(d, b2, xs), expected)
+    counts, sums = _sturm_count(d, b2, xs, slope=lead)
+    assert np.array_equal(counts, expected)
+    # the sums of the unfolded pivot loop where no pivot fell under PIVMIN;
+    # at a guarded shift the sum depends on the grouping (on d = 0,
+    # b = (1, 2, 2, .5, 2, 1, 2, 2, 2, 2, 2, 1) at x = 1 it is -12.545 alone
+    # and -9.545 beside other shifts)
+    _, plain, met = spectral._pivot_counts(d, b2, xs, lead)
+    free = ~met[:lead]
+    assert np.allclose(sums[free], plain[free], rtol=1e-9, atol=1e-9, equal_nan=True)
+
+
 def test_slope_sum_is_the_log_derivative_of_the_determinant(monkeypatch):
     # a ladder of levels about 0.5 apart across two block ends: a shift
     # between two close levels would leave numpy's eigenvalues, not the
@@ -393,6 +433,28 @@ def test_eigenvalues_are_the_plain_bisection_bit_for_bit():
     chain = build_chain(rule.project(expand_word(rule, "a", 10)), OnsiteModel(0.0, 1.0))
     assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
                           reference_eigenvalues(chain))
+
+
+def test_hopping_chain_is_the_plain_bisection_where_it_is_not_mirror_symmetric():
+    # the chains workload's seed-1 5/13 hopping chain: the plain bisection
+    # puts indices 440 and 559 2 ulps apart from mirror images (midpoint
+    # -0.17722182305326015 meets 7 exact zero pivots), so eigenvalues cannot
+    # be mirrored, only counts
+    word = cp_word(CPParams.from_text("5/13", phason=5.040780044795463), 66172, 1000)
+    chain = build_chain(word, HoppingModel(0.0, 1.0, 1.0))
+    expected = reference_eigenvalues(chain)
+    assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues, expected)
+    assert np.flatnonzero(expected != -expected[::-1]).tolist() == [440, 559]
+
+
+def test_odd_zero_diagonal_chains_are_the_plain_bisection():
+    # a zero diagonal of odd size has a level at 0, where every bracket
+    # meets the guarded shift 0
+    rng = np.random.default_rng(23)
+    for n in (3, 15, 17, 33, 129, 201):
+        chain = TightBindingChain(np.zeros(n), rng.uniform(0.05, 2.0, n - 1))
+        assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
+                              reference_eigenvalues(chain)), n
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf])
@@ -478,6 +540,25 @@ def test_golden_4000_solve_counts_few_shifts(monkeypatch, model):
     assert sum(width for width, _ in calls) <= 50000
     assert sum(lead for _, lead in calls) <= 18500
     assert len(calls) <= 18
+
+
+def test_golden_4000_hopping_solve_counts_each_pair_once(monkeypatch):
+    # the shifts the pivot loop takes: 24550, 8423 with slope sums (47132
+    # and 16846 before +-x pairs were counted once), in 17 passes and one
+    # 1-shift recount of a shift whose mirror met the guard
+    calls = []
+    loop = spectral._pivot_counts
+
+    def counting(d, b2, xs, lead):
+        calls.append((len(xs), lead))
+        return loop(d, b2, xs, lead)
+
+    monkeypatch.setattr(spectral, "_pivot_counts", counting)
+    word = cp_word(CPParams.from_text("1/golden"), 0, 4000)
+    eigenvalues_tridiag(build_chain(word, HoppingModel(0.0, 1.0, 1.0)))
+    assert sum(width for width, _ in calls) <= 26000
+    assert sum(lead for _, lead in calls) <= 9000
+    assert len(calls) <= 19
 
 
 def test_lost_iterate_finishes_in_few_passes(monkeypatch):
