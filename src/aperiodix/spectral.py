@@ -218,9 +218,7 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     sloped = np.zeros(len(keys), dtype=bool)
     sloped[owner[:lead]] = True
     order = np.argsort(~sloped, kind="stable")  # the keys with slope sums first
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    owner = place[owner]
+    owner = np.argsort(order)[owner]
     count, total, met = _pivot_counts(d, b2, keys[order], np.count_nonzero(sloped))
     mirror = xs > 0.0
     count = np.where(mirror, len(d) - count[owner], count[owner])

@@ -433,6 +433,12 @@ def test_eigenvalues_are_the_plain_bisection_bit_for_bit():
     chain = build_chain(rule.project(expand_word(rule, "a", 10)), OnsiteModel(0.0, 1.0))
     assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
                           reference_eigenvalues(chain))
+    # a zero diagonal of odd size has a level at 0, where the count meets
+    # the guard
+    for n in (3, 15, 17, 33, 129, 201):
+        chain = TightBindingChain(np.zeros(n), rng.uniform(0.05, 2.0, n - 1))
+        assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
+                              reference_eigenvalues(chain)), n
 
 
 def test_hopping_chain_is_the_plain_bisection_where_it_is_not_mirror_symmetric():
@@ -445,16 +451,6 @@ def test_hopping_chain_is_the_plain_bisection_where_it_is_not_mirror_symmetric()
     expected = reference_eigenvalues(chain)
     assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues, expected)
     assert np.flatnonzero(expected != -expected[::-1]).tolist() == [440, 559]
-
-
-def test_odd_zero_diagonal_chains_are_the_plain_bisection():
-    # a zero diagonal of odd size has a level at 0, where every bracket
-    # meets the guarded shift 0
-    rng = np.random.default_rng(23)
-    for n in (3, 15, 17, 33, 129, 201):
-        chain = TightBindingChain(np.zeros(n), rng.uniform(0.05, 2.0, n - 1))
-        assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
-                              reference_eigenvalues(chain)), n
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf])
