@@ -147,8 +147,7 @@ def _grid_amplitudes(positions: np.ndarray, weights, ks: np.ndarray) -> np.ndarr
     block two or more columns wide row by row, so each k's sum runs over the
     atoms in order, whatever the other k of the grid; a one-column block
     would be summed pairwise instead, so a one-column tail is folded into the
-    chunk before it, and only a single-k call (a one-column grid) is summed
-    pairwise.  The reduction uses no threads (no BLAS), so the result is the
+    chunk before it.  The reduction uses no threads (no BLAS), so the result is the
     same bit for bit on every run.  The exponential is taken in place, so a
     chunk holds one complex block: about 2^18 elements, or eight columns of
     a longer chain.
@@ -209,9 +208,10 @@ def _supertile_amplitude(rule: SubstitutionRule, levels, order: int,
 # -- species contrast ---------------------------------------------------------
 
 def contrast_weights(chain: AtomChain) -> np.ndarray:
-    """Indicator of tile letter a minus its mean (sums to zero)."""
+    """Indicator of the chain's first tile in sorted order minus its mean (sums
+    to zero): the tile the spectral models give v_a, whatever its letter."""
     codes = np.frombuffer(chain.tile_letters.encode("utf-32-le"), dtype="<u4")
-    marks = (codes == ord("a")).astype(float)
+    marks = (codes == codes.min()).astype(float)
     return marks - marks.mean()
 
 
@@ -252,14 +252,16 @@ def _contrast_chain(rule: SubstitutionRule, pd, levels, order: int):
 
 # -- peak scaling --------------------------------------------------------------
 
-def _zoom_peaks(fun, windows) -> list[float]:
-    """Argmax of fun on each window [a, b] by iterated grid zoom, all windows at once.
+def _zoom_peaks(fun, windows) -> list[tuple[float, float]]:
+    """(argmax, max) of fun on each window [a, b] by iterated grid zoom, all
+    windows at once.
 
     fun maps a k-vector to its values, so each round is one call on the
     concatenated grids of every window (one supertile-factorised sum for the
     contrast amplitude), split back per window.  A k's amplitude does not
     depend on the other k of its call (_grid_amplitudes), so each window
-    zooms as it would alone.  Quasiperiodic spectra are spiky and far from
+    zooms as it would alone, and the max it returns is the amplitude the
+    peak's fit uses.  Quasiperiodic spectra are spiky and far from
     unimodal, so golden-section style bracketing can lose the peak; an
     odd-count grid always samples the window centre, and each round zooms
     onto the winning cell.  Each of the ZOOM_ROUNDS rounds samples
@@ -275,7 +277,7 @@ def _zoom_peaks(fun, windows) -> list[float]:
             if vals[i] > best[j][1]:
                 best[j] = (float(ks[i]), float(vals[i]))
             bounds[j] = (float(ks[max(i - 1, 0)]), float(ks[min(i + 1, ZOOM_POINTS - 1)]))
-    return [k for k, _ in best]
+    return best
 
 
 def peak_scaling(rule: SubstitutionRule, k_star: float, orders,
@@ -297,8 +299,7 @@ def _peak_scaling(chains, orders: tuple[int, ...], k_stars: list[float],
     """peak_scaling of every k_star on chains built beforehand: order -> (chain, amplitude).
 
     Per order, the windows of all peaks are zoomed in the same amplitude
-    calls (_zoom_peaks).  The amplitude at each refined peak stays one
-    single-k call per peak, whose one column is summed pairwise.
+    calls (_zoom_peaks), and each peak keeps the amplitude its zoom found.
     """
     if len(orders) < 4:
         raise ValueError("need at least 4 orders for a scaling fit")
@@ -308,8 +309,8 @@ def _peak_scaling(chains, orders: tuple[int, ...], k_stars: list[float],
     lengths = [chains[order][0].total_length for order in orders]
     xs = np.log(lengths)
     peaks = []
-    for ks in zip(*refined):
-        amplitudes = [chains[order][1](np.array([k]))[0] for order, k in zip(orders, ks)]
+    for zoomed in zip(*refined):
+        ks, amplitudes = zip(*zoomed)
         s_values = [a * a / chains[order][0].n_atoms for a, order in zip(amplitudes, orders)]
         ys = np.log(np.maximum(s_values, 1e-300))
         slope = float(np.polyfit(xs, ys, 1)[0])

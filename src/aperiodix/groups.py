@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .errors import Unrecognized
@@ -124,8 +125,10 @@ def nearest_element(x: float, group: LabelGroup, q_max: int = DEFAULT_Q_MAX,
     """Closest group element under bounded coordinates, with its residual.
 
     Ties go to the smaller |q| (two-generator) or smaller N then |m|
-    (localized); the exhaustive search is over |q| <= q_max or N <= n_max.
-    Both bounds must be nonnegative whatever the group's kind.
+    (localized); the exhaustive search is over |q| <= q_max, taken lazily in
+    the order 0, -1, 1, -2, 2, ..., or N <= n_max.  Both bounds must be
+    nonnegative whatever the group's kind, and x over the smallest step
+    scale / p^n_max must be finite.
     """
     if not math.isfinite(x):
         raise ValueError("x must be finite")
@@ -138,13 +141,20 @@ def nearest_element(x: float, group: LabelGroup, q_max: int = DEFAULT_Q_MAX,
         return GroupElement((m,), value), abs(x - value)
     if group.kind == "two_gen":
         best = None
-        for q in sorted(range(-q_max, q_max + 1), key=abs):
+        for q in chain.from_iterable((-i, i) if i else (0,) for i in range(q_max + 1)):
             p = round(x - q * group.rho)
             value = p + q * group.rho
             residual = abs(x - value)
             if best is None or residual < best[1] - 1e-15:
                 best = (GroupElement((p, q), value), residual)
         return best
+    try:
+        smallest = float(group.scale) / group.prime**n_max
+    except OverflowError:  # p^n_max is past the float range
+        smallest = 0.0
+    if not (smallest > 0.0 and math.isfinite(x / smallest)):
+        raise ValueError(f"x / (scale / p^n_max) is not finite at n_max={n_max}: "
+                         "lower n_max")
     best = None
     for n in range(n_max + 1):
         step = float(group.scale) / group.prime**n

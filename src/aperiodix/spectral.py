@@ -9,19 +9,20 @@ its shifts and taken over blocks of sites at once.  Each index keeps a
 bracket (A, B), the tightest shifts counted with count(A) < k <= count(B).
 The IEEE Sturm count is monotone in x (Demmel, Dhillon & Ren, ETNA 3, 1995),
 so a bisection midpoint outside the bracket is decided with no count, and
-only the midpoints inside it are counted (once per distinct midpoint, with
-as many halvings per sweep as fit under TWO_LEVEL_SHIFTS).  A bracket that
-holds only its own eigenvalue (isolation) shrinks by safeguarded Newton
-steps, the slope sum taken in the same pivot loop, and a cluster's slow
-geometric approach is cut short by summing its series.  An iterate stops
-one evaluation early, once its quadratic rate puts the next step under the
+only the midpoints inside it are counted, once each.  A bracket that holds
+only its own eigenvalue (isolation) shrinks by safeguarded Newton steps,
+the slope sum taken in the same pivot loop, and a cluster's slow geometric
+approach is cut short by summing its series.  An iterate stops one
+evaluation early, once its quadratic rate puts the next step under the
 certification offset; the pass after its last step counts just either side
 of it and, on the same bet, the halvings aimed at it inside that window, so
-a certified index finishes with no further pass.  A zero diagonal (the
-hopping model) makes the pivots at -x those at x negated, so such a chain
-counts each pair of shifts +-x once and counts again, in the same call, the
-few whose mirror met the PIVMIN guard (_sturm_count).  An independent
-characteristic-polynomial oracle covers small sizes for cross-checks.
+a certified index finishes with no further pass.  One tree walk plans every
+pass (_mids): past a counted midpoint it follows both halves, or only the
+half toward its aim.  A zero diagonal (the hopping model) makes the pivots
+at -x those at x negated, so such a chain counts each pair of shifts +-x
+once and counts again, in the same call, the few whose mirror met the
+PIVMIN guard (_sturm_count).  An independent characteristic-polynomial
+oracle covers small sizes for cross-checks.
 
 Chains of a substitution need no spectrum for their gaps.  lifted_counts
 counts levels from the transfer matrices of the supertiles sigma^n(c),
@@ -190,8 +191,10 @@ def _sturm_count(d: np.ndarray, b2: np.ndarray, xs: np.ndarray, slope: bool | in
     sum is d/dx log|det(T - x)| = sum_j 1/(x - lambda_j), so x - 1/sum is a
     Newton step on the determinant.  A sum may move in its last bits with the
     number of slope shifts in its pass.  Where a pivot vanished (the guard's
-    -PIVMIN) the sum is huge, or NaN once a later site overflows: the shift
-    sits on a level.  The counts are those without slope to the bit.
+    -PIVMIN) only the count is exact: on a level the sum is huge, or NaN once
+    a later site overflows, but where a middle pivot vanished off any level
+    the sum may be finite, wrong and change with the shifts beside it.  The
+    counts are those without slope to the bit.
 
     A zero diagonal (the hopping model) makes the chain bipartite, and the
     pivots at -x are exactly those at x negated: 0 - x and the quotients
@@ -354,41 +357,20 @@ def _descend(path, low, up, steps, bracket, end_counts, targets, shifts, counts)
     return path[inside & (mid != l) & (mid != u) & (s < BISECT_STEPS)]
 
 
-def _subtree_mids(low, up, steps, bracket, cap):
-    """Midpoints of the next halvings of each cell that fall inside its bracket.
+def _mids(low, up, steps, ends, aim, cap=np.inf):
+    """Midpoints of the plain bisection below each cell that fall inside its ends.
 
-    Breadth first over the plain bisection tree below each distinct cell; a
-    midpoint outside the bracket is decided without a count and only its
-    reachable half is followed.  The sweep takes another level while the
-    midpoints taken so far number at most cap.
-    """
-    _, first = np.unique(0.5 * (low + up), return_index=True)
-    low, up, steps, ends = low[first], up[first], steps[first], bracket[:, first]
-    taken, total = [np.empty(0)], 0
-    while len(low) and (len(taken) == 1 or total <= cap):
-        mid = 0.5 * (low + up)
-        live = (mid != low) & (mid != up) & (steps < BISECT_STEPS)
-        inside = live & (ends[0] < mid) & (mid < ends[1])
-        taken.append(mid[inside])
-        total += int(inside.sum())
-        left, right = live & (mid > ends[0]), live & (mid < ends[1])
-        low = np.concatenate([low[left], mid[right]])
-        up = np.concatenate([mid[left], up[right]])
-        steps = np.concatenate([steps[left], steps[right]]) + 1
-        ends = np.concatenate([ends[:, left], ends[:, right]], axis=1)
-    return np.concatenate(taken)
-
-
-def _aimed_mids(low, up, steps, ends, aim):
-    """The plain bisection path of each cell toward aim, to its last halving.
-
-    A midpoint outside (ends[0], ends[1]) is decided by the ends with no
-    count; one inside them is taken, and the path goes on toward aim (down
-    where aim is at or below it).  Returns each cell as the path meets its
-    first midpoint inside the ends (or as it ends), and the midpoints taken.
+    First the halvings the ends decide, all cells in step with no count: a
+    midpoint at or below ends[0] goes up, one at or above ends[1] goes down.
+    The cells reached are the entry cells.  Then breadth first: a midpoint
+    strictly inside the ends is taken, and the walk follows both its halves
+    where aim is NaN and otherwise the half toward aim (down where aim is at
+    or below it); a midpoint outside the ends keeps only its reachable half.
+    The walk takes another level while the midpoints taken number at most
+    cap.  Returns the entry cells (low, up, steps) and the midpoints taken.
     """
     low, up, steps = low.copy(), up.copy(), steps.copy()
-    while True:  # the halvings the ends decide, all cells in step
+    while True:
         mid = 0.5 * (low + up)
         below, above = mid <= ends[0], mid >= ends[1]
         move = (below | above) & (mid != low) & (mid != up) & (steps < BISECT_STEPS)
@@ -397,16 +379,21 @@ def _aimed_mids(low, up, steps, ends, aim):
         np.copyto(low, mid, where=move & below)
         np.copyto(up, mid, where=move & above)
         steps += move
-    cell, taken = np.array([low, up, steps], dtype=float), [np.empty(0)]
-    while len(low):
+    entry, taken = np.array([low, up, steps], dtype=float), [np.empty(0)]
+    aim = np.broadcast_to(aim, low.shape)
+    while len(low) and (len(taken) == 1 or sum(map(len, taken)) <= cap):
         mid = 0.5 * (low + up)
         live = (mid != low) & (mid != up) & (steps < BISECT_STEPS)
         inside = live & (ends[0] < mid) & (mid < ends[1])
         taken.append(mid[inside])
         down = np.where(inside, aim <= mid, mid >= ends[1])
-        low, up = np.where(down, low, mid)[live], np.where(down, mid, up)[live]
-        steps, ends, aim = steps[live] + 1, ends[:, live], aim[live]
-    return cell, np.concatenate(taken)
+        left, right = live & (down | inside & np.isnan(aim)), live & ~down
+        low = np.concatenate([low[left], mid[right]])
+        up = np.concatenate([mid[left], up[right]])
+        steps = np.concatenate([steps[left], steps[right]]) + 1
+        ends = np.concatenate([ends[:, left], ends[:, right]], axis=1)
+        aim = np.concatenate([aim[left], aim[right]])
+    return entry, np.concatenate(taken)
 
 
 def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
@@ -418,8 +405,7 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
     with count(A) < k <= count(B).  The IEEE Sturm count is monotone in x
     (Demmel, Dhillon & Ren, ETNA 3, 1995), so a midpoint at or below A goes
     up and one at or above B goes down with no count; only midpoints inside
-    (A, B) are counted, with as many halvings per sweep as fit under
-    TWO_LEVEL_SHIFTS.  While brackets are whole cells this is the plain
+    (A, B) are counted.  While brackets are whole cells this is the plain
     lockstep bisection with shared shifts.  Once a bracket holds only its own
     eigenvalue (count(A) = k - 1, count(B) = k) it is isolated and shrinks by
     safeguarded Newton steps x - 1 / sum_i q_i'/q_i instead, each iterate
@@ -434,18 +420,22 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
     final.  The next pass counts x -/+ delta, the certification, and in the
     same call the halvings inside that window: from the index's cell the
     window's ends decide every halving down to the window, and inside it the
-    path is aimed at x (_aimed_mids; a narrow pass takes the window's whole
-    subtree).  A certified index, its bracket inside the window, jumps to its
-    cell at the window and finishes its halvings from the counts already
-    made; one whose path parted from the aim inside the window goes on aimed
-    at x in the next pass.  A predicted iterate whose certification fails
-    resumes its Newton steps delta past the probe that failed, while it has
-    spent fewer than NEWTON_STEPS passes; a converged one whose certification
-    fails, a predicted one past that, and an index that has spent
-    NEWTON_STEPS passes and no longer halves its step go on by halvings from
-    the bracket they have.  Every
-    pass is one _sturm_count call over all shifts, with the slope at the
-    Newton iterates only.
+    path is aimed at x.  A certified index, its bracket inside the window,
+    jumps to its cell at the window and finishes its halvings from the counts
+    already made; one whose path parted from the aim inside the window goes
+    on aimed at x in the next pass.  A predicted iterate whose certification
+    fails resumes its Newton steps delta past the probe that failed, while it
+    has spent fewer than NEWTON_STEPS passes; a converged one whose
+    certification fails, a predicted one past that, and an index that has
+    spent NEWTON_STEPS passes and no longer halves its step go on by halvings
+    from the bracket they have.
+
+    Every pass is one _sturm_count call over all shifts, the slope at the
+    Newton iterates only.  One tree walk (_mids) plans it: the halving cells,
+    one per distinct cell, walk with no aim for as many levels as fit under
+    TWO_LEVEL_SHIFTS; the windows and aimed cells walk toward x, or with no
+    aim in a narrow pass (SPARE_SHIFTS), so that no halving toward a level
+    that rounds the other way is left over.
     """
     d = np.asarray(chain.onsite, dtype=float)
     b = np.asarray(chain.hopping, dtype=float)
@@ -491,20 +481,15 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
         inside = (bracket[0, owner] < probes) & (probes < bracket[1, owner])
         owner, probes = owner[inside], probes[inside]
         walk, halve = path[aimed[path]], path[~aimed[path]]
-        mids = np.concatenate([
-            _subtree_mids(low[halve], up[halve], steps[halve], bracket[:, halve],
-                          TWO_LEVEL_SHIFTS), probes])
-        entry, aimed_mids = _aimed_mids(low[certify], up[certify], steps[certify], window,
-                                        x[certify])
-        if len(mids) + len(newton) + 8 * (len(certify) + len(walk)) <= SPARE_SHIFTS:
-            # a narrow pass counts whole windows (about 8 midpoints each), so
-            # no halving toward a level that rounds the other way is left over
-            aimed_mids = np.concatenate([
-                _subtree_mids(*entry, window, np.inf),
-                _subtree_mids(low[walk], up[walk], steps[walk], bracket[:, walk], np.inf)])
-        else:
-            aimed_mids = np.concatenate([aimed_mids, _aimed_mids(
-                low[walk], up[walk], steps[walk], bracket[:, walk], x[walk])[1]])
+        _, first = np.unique(0.5 * (low[halve] + up[halve]), return_index=True)
+        halve = halve[first]  # one walk per distinct cell, or duplicates use up the cap
+        mids = np.concatenate([_mids(low[halve], up[halve], steps[halve], bracket[:, halve],
+                                     np.nan, TWO_LEVEL_SHIFTS)[1], probes])
+        finish = np.concatenate([certify, walk])  # a window counts about 8 midpoints
+        narrow = len(mids) + len(newton) + 8 * len(finish) <= SPARE_SHIFTS
+        entry, aimed_mids = _mids(low[finish], up[finish], steps[finish],
+                                  np.concatenate([window, bracket[:, walk]], axis=1),
+                                  np.nan if narrow else x[finish])
         shifts = np.unique(np.concatenate([mids, aimed_mids]))
         k = len(newton)
         counts, slopes = _sturm_count(d, b2, np.concatenate([x[newton], shifts]), slope=k)
@@ -517,7 +502,7 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
         # halving above was decided by the window's ends
         certified = (bracket[0, certify] >= window[0]) & (bracket[1, certify] <= window[1])
         ok = certify[certified]
-        low[ok], up[ok], steps[ok] = entry[0, certified], entry[1, certified], entry[2, certified]
+        low[ok], up[ok], steps[ok] = entry[:, :len(certify)][:, certified]
         aimed[ok] = True
         # a predicted iterate that fails certification resumes its Newton
         # steps from inside its bracket, delta past the probe that failed,

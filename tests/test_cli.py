@@ -294,6 +294,9 @@ LONG_TILE = ('{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, '
     # a finite grid whose phases k x overflow
     ("diffract --samples 3", "--kmax", "1e307"),
     ("diffract --contrast --samples 3", "--kmax", "1e307"),
+    # x over the smallest step of Z[1/2] overflows
+    ("gaps --family thue-morse --order 8", "--nmax", "1100"),
+    ("bloch --family thue-morse", "--nmax", "1100"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, text):
     # flags ending in -file read the text from a file, the others take it as is
@@ -302,7 +305,7 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, te
         path = tmp_path / "input"
         path.write_text(text, encoding="utf-8")
         args[-1] = str(path)
-    if flag != "--rule-file":
+    if flag != "--rule-file" and "--family" not in command:
         args += ["--family", "periodic"]
     code, _, err = run_cli(args, capsys)
     assert code == 1
@@ -398,6 +401,20 @@ def test_rule_file_input(tmp_path, capsys):
                             "--order", "5"], capsys)
     assert code == 0
     assert json.loads(out)["length"] == 13
+
+
+@pytest.mark.parametrize("rule", [
+    {"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, "tiles": {"a": "x", "b": "y"}},
+    {"alphabet": ["b", "c"], "images": {"b": "bc", "c": "b"}},
+], ids=["tiles-x-y", "letters-b-c"])
+def test_contrast_of_relabelled_fibonacci_is_fibonacci(tmp_path, capsys, rule):
+    # the contrast marks the first tile in sorted order, whatever its letter
+    rule_path = tmp_path / "rule.json"
+    rule_path.write_text(json.dumps(rule))
+    expected = run_cli(["diffract", "--family", "fibonacci", "--contrast"], capsys)
+    code, out, _ = expected
+    assert code == 0 and max(float(row.split(",")[1]) for row in out.splitlines()[1:]) > 1.0
+    assert run_cli(["diffract", "--rule-file", str(rule_path), "--contrast"], capsys) == expected
 
 
 def test_svg_emission():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -128,3 +129,35 @@ def test_field_group_needs_one_primitive():
     # (1/2)Z + (tau/2)Z holds 1 = 2 * (1/2), which is not primitive there
     with pytest.raises(Unrecognized):
         field_group(GOLDEN_POLY, GOLDEN, [(0, Fraction(1, 2)), (Fraction(1, 2), 0)])
+
+
+def test_two_gen_search_order_and_memory():
+    # |q| <= q_max in the order 0, -1, 1, -2, 2, ...: ties go to the smaller
+    # |q|, then the negative q, as a search over the sorted list did
+    g = two_gen_group(1 / GOLDEN)
+    rng = random.Random(5)
+    for x in [0.0, 0.5, *(rng.uniform(-3, 3) for _ in range(50))]:
+        best = None
+        for q in sorted(range(-12, 13), key=abs):
+            p = round(x - q * g.rho)
+            residual = abs(x - (p + q * g.rho))
+            if best is None or residual < best[1] - 1e-15:
+                best = ((p, q), residual)
+        elem, residual = nearest_element(x, g, q_max=12)
+        assert (elem.coordinates, residual) == best
+    # the search holds no list of its 2 q_max + 1 candidates
+    tracemalloc.start()
+    nearest_element(0.3, g, q_max=200_000)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("n_max", [1023, 1100, 10**6])
+def test_localized_steps_past_the_float_range_are_refused(n_max):
+    # (1/3) / 2^1023 is subnormal and 0.9 over it overflows; past 2^1024 the
+    # power itself leaves the float range
+    g = localized_group(Fraction(1, 3), 2)
+    with pytest.raises(ValueError, match="not finite"):
+        nearest_element(0.9, g, n_max=n_max)
+    assert nearest_element(0.9, g, n_max=1022)[1] < 1e-15

@@ -439,6 +439,114 @@ def test_eigenvalues_are_the_plain_bisection_bit_for_bit():
         chain = TightBindingChain(np.zeros(n), rng.uniform(0.05, 2.0, n - 1))
         assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues,
                               reference_eigenvalues(chain)), n
+    # a middle pivot vanishes at x = 1, off every level: the slope sum there
+    # is finite and wrong (-12.5 alone, -9.5 beside two copies of x; the true
+    # sum is -9.05), and only the count is exact
+    chain = TightBindingChain(np.zeros(13), np.array([1, 2, 2, .5, 2, 1, 2, 2, 2, 2, 2, 1.0]))
+    assert np.array_equal(eigenvalues_tridiag(chain).eigenvalues, reference_eigenvalues(chain))
+
+
+def reference_entry(lo, up, steps, a, b):
+    """The cell a recursive plain bisection reaches while (a, b) decides it."""
+    mid = 0.5 * (lo + up)
+    if mid in (lo, up) or steps >= BISECT_STEPS or not (mid <= a or mid >= b):
+        return lo, up, steps
+    return reference_entry(*((mid, up) if mid <= a else (lo, mid)), steps + 1, a, b)
+
+
+def reference_walk(lo, up, steps, a, b, aim, limit, levels, depth=0):
+    """Midpoints inside (a, b) of the plain bisection tree below a cell, to
+    limit levels, by level.  Past a midpoint inside (a, b) the walk follows
+    both halves with no aim (NaN) and the half toward aim otherwise; past
+    one outside, the half that still meets (a, b)."""
+    mid = 0.5 * (lo + up)
+    if depth > limit or mid in (lo, up) or steps >= BISECT_STEPS:
+        return
+    inside = a < mid < b
+    level = levels.setdefault(depth, [])
+    if inside:
+        level.append(mid)
+    free = not inside or math.isnan(aim)
+    if a < mid and lo < b and (free or aim <= mid):
+        reference_walk(lo, mid, steps + 1, a, b, aim, limit, levels, depth + 1)
+    if mid < b and a < up and (free or aim > mid):
+        reference_walk(mid, up, steps + 1, a, b, aim, limit, levels, depth + 1)
+
+
+def reference_mids(cells, ends, aims, cap):
+    """Every cell's midpoints to the first level at which those taken over
+    all cells number more than cap, or to the last level the walks reach."""
+    for limit in range(BISECT_STEPS + 1):
+        levels = {}
+        for (lo, up, steps), (a, b), aim in zip(cells, ends, aims):
+            reference_walk(lo, up, steps, a, b, aim, limit, levels)
+        if len(levels) <= limit or sum(map(len, levels.values())) > cap:
+            break
+    return sorted(mid for level in levels.values() for mid in level)
+
+
+def near(draw, x):
+    """x, or a float a few ulps from it."""
+    for _ in range(draw(st.integers(0, 3))):
+        x = np.nextafter(x, draw(st.sampled_from([-np.inf, np.inf])))
+    return float(x)
+
+
+@st.composite
+def walk_cases(draw):
+    # cells of the plain bisection of a Gershgorin-like interval, down to
+    # BISECT_STEPS, and cells a few ulps wide, whose midpoints round onto an
+    # end; ends and aims on, next to, inside and outside the cell's midpoints
+    cap = draw(st.sampled_from([0, 1, 2, 7, 40, math.inf]))
+    lo0 = draw(st.floats(-4.0, -0.5))
+    hi0 = lo0 + draw(st.floats(0.5, 8.0))
+    cells, ends, aims = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        aim_free = draw(st.booleans())
+        # a walk with no aim and no cap must stay small: at most 2^9 leaves
+        deep = BISECT_STEPS - 16 if aim_free and cap == math.inf else 0
+        steps = draw(st.sampled_from([deep, BISECT_STEPS - 1, BISECT_STEPS])
+                     if draw(st.integers(0, 4)) == 0 else st.integers(deep, BISECT_STEPS))
+        if draw(st.sampled_from([True, True, True, False])):
+            lo, up = lo0, hi0
+            for _ in range(steps):
+                mid = 0.5 * (lo + up)
+                lo, up = (mid, up) if draw(st.booleans()) else (lo, mid)
+        else:
+            lo = draw(st.floats(lo0, hi0))
+            up = max(near(draw, lo), float(np.nextafter(lo, np.inf)))
+        points = [lo, up, 0.5 * (lo + up), 0.25 * (3 * lo + up), 0.25 * (lo + 3 * up)]
+
+        def point():
+            choice = draw(st.sampled_from(["cell", "inside", "anywhere"]))
+            if choice == "cell":
+                return near(draw, draw(st.sampled_from(points)))
+            if choice == "inside":
+                return draw(st.floats(lo, up))
+            return draw(st.floats(lo0 - 1.0, hi0 + 1.0))
+
+        a, b = sorted([point(), point()])
+        if a == b:
+            a, b = min(a, lo), max(b, up)
+        cells.append((lo, up, steps))
+        ends.append((a, b))
+        aims.append(math.nan if aim_free else point())
+    return cells, ends, aims, cap
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(walk_cases())
+def test_walk_is_the_recursive_walk_of_the_bisection_tree(case):
+    # the entry cells, and every midpoint of a walk with no aim (to the
+    # cap's level) or exactly the aimed path's midpoints inside the ends
+    cells, ends, aims, cap = case
+    low, up, steps = (np.array(column) for column in zip(*cells))
+    entry, mids = spectral._mids(low, up, steps.astype(np.int64), np.array(ends).T,
+                                 np.array(aims), cap)
+    expected = [reference_entry(*cell, *end) for cell, end in zip(cells, ends)]
+    assert np.array_equal(entry, np.array(expected, dtype=float).T)
+    entered = [(lo, up, int(steps)) for lo, up, steps in expected]
+    assert np.sort(mids).tolist() == reference_mids(entered, ends, aims, cap)
 
 
 def test_hopping_chain_is_the_plain_bisection_where_it_is_not_mirror_symmetric():
