@@ -147,10 +147,10 @@ def _grid_amplitudes(positions: np.ndarray, weights, ks: np.ndarray) -> np.ndarr
     block two or more columns wide row by row, so each k's sum runs over the
     atoms in order, whatever the other k of the grid; a one-column block
     would be summed pairwise instead, so a one-column tail is folded into the
-    chunk before it.  The reduction uses no threads (no BLAS), so the result is the
-    same bit for bit on every run.  The exponential is taken in place, so a
-    chunk holds one complex block: about 2^18 elements, or eight columns of
-    a longer chain.
+    chunk before it.  The reduction uses no threads (no BLAS), so the result
+    is the same bit for bit on every run.  The exponential is taken in place,
+    so a chunk holds one complex block: about 2^18 elements, or eight columns
+    of a longer chain.
     """
     n = len(positions)
     chunk = max(8, min(len(ks), (1 << 18) // max(n, 1)))

@@ -149,8 +149,8 @@ def nearest_element(x: float, group: LabelGroup, q_max: int = DEFAULT_Q_MAX,
                 best = (GroupElement((p, q), value), residual)
         return best
     try:
-        smallest = float(group.scale) / group.prime**n_max
-    except OverflowError:  # p^n_max is past the float range
+        smallest = float(group.scale) / group.prime**min(n_max, 1024)
+    except OverflowError:  # p^n >= 2^n is past the float range from n = 1024 on
         smallest = 0.0
     if not (smallest > 0.0 and math.isfinite(x / smallest)):
         raise ValueError(f"x / (scale / p^n_max) is not finite at n_max={n_max}: "

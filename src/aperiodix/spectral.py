@@ -487,10 +487,10 @@ def eigenvalues_tridiag(chain: TightBindingChain) -> EnergySpectrum:
                                      np.nan, TWO_LEVEL_SHIFTS)[1], probes])
         finish = np.concatenate([certify, walk])  # a window counts about 8 midpoints
         narrow = len(mids) + len(newton) + 8 * len(finish) <= SPARE_SHIFTS
-        entry, aimed_mids = _mids(low[finish], up[finish], steps[finish],
-                                  np.concatenate([window, bracket[:, walk]], axis=1),
-                                  np.nan if narrow else x[finish])
-        shifts = np.unique(np.concatenate([mids, aimed_mids]))
+        entry, finishing = _mids(low[finish], up[finish], steps[finish],
+                                 np.concatenate([window, bracket[:, walk]], axis=1),
+                                 np.nan if narrow else x[finish])
+        shifts = np.unique(np.concatenate([mids, finishing]))
         k = len(newton)
         counts, slopes = _sturm_count(d, b2, np.concatenate([x[newton], shifts]), slope=k)
         newton_counts, counts = counts[:k], counts[k:]
