@@ -34,6 +34,7 @@ from .exactla import (
     frac_inverse,
     frac_kernel,
     frac_solve,
+    has_integer_eigenvalue,
     imat_pow,
     int_det,
     lattice_hnf,
@@ -174,11 +175,19 @@ def collar(rule: SubstitutionRule, radius: int = 1) -> CollaredAlphabet:
 def fixed_point_period(rule: SubstitutionRule) -> int | None:
     """Least period of the substitution fixed point, or None if aperiodic.
 
-    A fixed point of sigma^k (k <= 4) is expanded to 2^18 letters; a period
-    counts if it is at most 2^14, a quarter of the 2^16-letter window it
-    shows in, and holds on all 2^18 letters (least_period).
+    The fixed point is that of sigma^k (k <= 4).  If it is periodic with
+    least period w, then sigma^k(w) = w^m, so the letter counts of w are an
+    eigenvector of M^k for the integer m = |sigma^k(w)| / |w|, at most
+    max |sigma^k(c)|; with no such integer eigenvalue the answer is None
+    exactly, which an irrational Perron root always gives.  Otherwise the
+    fixed point is expanded to 2^18 letters, and a period counts if it is at
+    most 2^14, a quarter of the 2^16-letter window it shows in, and holds on
+    all 2^18 letters (least_period).
     """
     seed, power = _fixed_point_seed(rule)
+    m = imat_pow(occurrence_matrix(rule).entries, power)
+    if not has_integer_eigenvalue(m, max(map(sum, zip(*m)))):
+        return None
     levels = islice(expansions(rule, prefix=FIXED_POINT_PREFIX), 64 * power + 1)
     for step, words in enumerate(levels):
         if step % power == 0 and len(words[seed]) == FIXED_POINT_PREFIX:

@@ -15,15 +15,17 @@ exactly; letter frequencies, tile lengths and the collared patch
 frequencies of the trace image all come from it, and values_at evaluates
 such coordinates at the Perron root.
 
-This is the package's one sympy module, and its hot path builds no sympy
-object.  _charpoly is Faddeev-LeVerrier over ints; char_factors hands that
-int list to sympy's dense integer factoriser (dup_factor_list, the algorithm
-behind PurePoly.factor_list); prime_base is one sympy.factorint; perron_root
-locates lambda1 with numpy.roots and certifies and rounds it in integer
-arithmetic; poly_text prints a factor as sympy does, with no sympy at all.
-Only ints, Fractions and text leave the module.  `import sympy` stays at
-module level because the benchmark's import metrics read sympy's import
-time; it goes once those metrics allow a package without it.
+This is the package's one sympy module, and its hot path calls no sympy.
+_charpoly is Faddeev-LeVerrier over ints; char_factors factors that int
+list itself (Yun's square-free parts, a closed form for quadratics, and
+numpy.roots grouped into factors that exact division certifies);
+perron_root locates lambda1 with numpy.roots and certifies and rounds it in
+integer arithmetic; poly_text prints a factor as sympy does.  The one sympy
+call left is sympy.factorint in prime_base, a few microseconds on inflation
+factors and constant terms.  Only ints, Fractions and text leave the module.
+`import sympy` stays at module level because the benchmark's import metrics
+read sympy's import time; it goes once those metrics allow a package without
+it, and prime_base then needs trial division.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dup_factor_list
 
 from .errors import Unrecognized
 
@@ -387,10 +388,158 @@ def char_factors(entries) -> list[tuple[tuple[int, ...], int]]:
     """Irreducible factors over Q of the characteristic polynomial of a square
     integer matrix: (integer coefficients highest first, multiplicity).
 
-    sympy's dense integer factoriser (Zassenhaus), on plain int lists: the
-    algorithm, factor order and multiplicities of PurePoly.factor_list."""
-    _, factors = dup_factor_list([ZZ(c) for c in _charpoly(entries)], ZZ)
-    return [(tuple(int(c) for c in poly), mult) for poly, mult in factors]
+    No sympy: x^j is split off, Yun's algorithm with primitive-PRS gcds on
+    int lists gives the square-free parts, and _sqf_factors splits each.
+    Factors, multiplicities and their order (the key (length, multiplicity,
+    coefficients)) are those of sympy's factor_list, which the tests keep as
+    the oracle."""
+    f = _charpoly(entries)
+    j = len(f) - len(_strip(f[::-1]))
+    factors = [((1, 0), j)] if j else []
+    for part, mult in _yun(f[:len(f) - j]):
+        factors += [(tuple(g), mult) for g in _sqf_factors(part)]
+    return sorted(factors, key=lambda item: (len(item[0]), item[1], item[0]))
+
+
+def _strip(f):
+    """f without its leading zeros; the zero polynomial is []."""
+    i = next((i for i, c in enumerate(f) if c), len(f))
+    return f[i:]
+
+
+def _derivative(f):
+    d = len(f) - 1
+    return _strip([c * (d - i) for i, c in enumerate(f[:-1])])
+
+
+def _primitive(f):
+    """f over the gcd of its coefficients, leading coefficient positive."""
+    g = math.gcd(*f)
+    return [c // g if f[0] > 0 else -c // g for c in f]
+
+
+def _gcd(f, g):
+    """gcd of two integer polynomials, primitive with a positive leading
+    coefficient (primitive PRS: pseudo-remainders made primitive)."""
+    while g:
+        r, lead = f, g[0]
+        while len(r) >= len(g):
+            c = r[0]
+            r = _strip([lead * x - c * y for x, y in zip(r[1:], g[1:])]
+                       + [lead * x for x in r[len(g):]])
+        f, g = g, r and _primitive(r)
+    return _primitive(f)
+
+
+def _quotient(f, g):
+    """f / g for a monic g, or None when g does not divide f."""
+    f, n = list(f), len(g) - 1
+    for i in range(len(f) - n):
+        if f[i]:
+            for k in range(1, n + 1):
+                f[i + k] -= f[i] * g[k]
+    return None if any(f[len(f) - n:]) else f[:len(f) - n]
+
+
+def _yun(f):
+    """Square-free decomposition of a monic f: (part, multiplicity) pairs,
+    f = prod part^multiplicity, every part monic, square-free and prime to
+    the others (Yun's algorithm; the gcds of monic divisors are monic, so
+    every division is by a monic polynomial)."""
+    slope = _derivative(f)
+    c = _gcd(f, slope)
+    w, y = _quotient(f, c), _quotient(slope, c)
+    mult = 1
+    while len(w) > 1:
+        z = _strip([a - b for a, b in zip([0] * (len(w) - len(y)) + y,
+                                          [0] + _derivative(w))])
+        a = _gcd(w, z)
+        if len(a) > 1:
+            yield a, mult
+        w, y = _quotient(w, a), _quotient(z, a)
+        mult += 1
+
+
+def _sqf_factors(f):
+    """Monic irreducible factors of a monic square-free f with f(0) != 0.
+
+    A quadratic is reducible iff its discriminant is a square.  For higher
+    degrees the roots are split into the smallest conjugate-closed sets whose
+    product rounds to an integer polynomial dividing f exactly.  numpy.roots
+    has to separate the roots first: about each root z a disk of radius
+    d |f(z) / f'(z)| (f and f' bounded with their float error) holds a root
+    of f, and the disks must be disjoint, so each holds one; and a product of
+    at most d/2 roots must be within 1/2 of the true product's integers."""
+    d = len(f) - 1
+    if d < 2:
+        return [f]
+    if d == 2:
+        disc = f[1] ** 2 - 4 * f[2]
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return [f]
+        return [[1, (f[1] + s) // 2], [1, (f[1] - s) // 2]]
+    eps = np.finfo(float).eps
+    c = np.array(f, dtype=float)
+    if not np.isfinite(c).all():
+        raise Unrecognized(f"cannot separate the roots of {poly_text(f)}")
+    z = np.roots(c)
+    dc = np.polyder(c)
+    size = np.abs(z)
+    value = np.abs(np.polyval(c, z)) + 8 * d * eps * np.polyval(np.abs(c), size)
+    slope = np.abs(np.polyval(dc, z)) - 8 * d * eps * np.polyval(np.abs(dc), size)
+    radius = d * value / np.where(slope > 0, slope, np.nan)
+    gaps = np.abs(z[:, None] - z) - radius[:, None] - radius
+    np.fill_diagonal(gaps, np.inf)
+    m = d // 2
+    top = np.prod(np.sort(1 + size + radius)[d - m:])
+    tol = top * m * ((radius / (1 + size + radius)).max() + 4 * eps)
+    if not ((gaps > 0).all() and tol < 0.5):
+        raise Unrecognized(f"cannot separate the roots of {poly_text(f)}")
+    # units: a real root alone, a complex root with its conjugate (numpy
+    # gives the pairs of a real polynomial as exact conjugates)
+    units = [(r,) for r in z.real[z.imag == 0]]
+    units += [(r, r.conjugate()) for r in z[z.imag > 0]]
+    factors = []
+    k = 1
+    while k <= (len(f) - 1) // 2:
+        for chosen in _unit_sets(units, k):
+            g = _rounded_product([r for i in chosen for r in units[i]], tol)
+            q = g and _quotient(f, g)
+            if q:
+                factors.append(g)
+                f = q
+                units = [u for i, u in enumerate(units) if i not in chosen]
+                break
+        else:
+            k += 1
+    return factors + [f]
+
+
+def _unit_sets(units, k):
+    """Index sets of units whose sizes (1 or 2 roots) add up to k."""
+    for r in range(1, k + 1):
+        for chosen in combinations(range(len(units)), r):
+            if sum(len(units[i]) for i in chosen) == k:
+                yield chosen
+
+
+def _rounded_product(roots, tol):
+    """prod (x - r) as monic integer coefficients if every coefficient is
+    within tol of an integer, else None."""
+    p = [1]
+    for r in roots:
+        p = [a - r * b for a, b in zip(p + [0], [0] + p)]
+    g = [round(a.real) for a in p]
+    return g if all(abs(a - b) <= tol for a, b in zip(p, g)) else None
+
+
+def has_integer_eigenvalue(entries, top: int) -> bool:
+    """Whether an integer r in [1, top] is an eigenvalue of a square integer
+    matrix: a root of _charpoly, so a divisor of its last nonzero
+    coefficient."""
+    f = _strip(_charpoly(entries)[::-1])[::-1]
+    return any(f[-1] % r == 0 and _horner(f, r)[0] == 0 for r in range(1, top + 1))
 
 
 def poly_text(coeffs) -> str:

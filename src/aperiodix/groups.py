@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from .errors import Unrecognized
 from .exactla import lattice_hnf, values_at
@@ -125,8 +126,8 @@ def nearest_element(x: float, group: LabelGroup, q_max: int = DEFAULT_Q_MAX,
     """Closest group element under bounded coordinates, with its residual.
 
     Ties go to the smaller |q| (two-generator) or smaller N then |m|
-    (localized); the exhaustive search is over |q| <= q_max, taken lazily in
-    the order 0, -1, 1, -2, 2, ..., or N <= n_max.  Both bounds must be
+    (localized); the exhaustive search is over |q| <= q_max, in the order
+    0, -1, 1, -2, 2, ..., or N <= n_max.  Both bounds must be
     nonnegative whatever the group's kind, and x over the smallest step
     scale / p^n_max must be finite.
     """
@@ -140,14 +141,26 @@ def nearest_element(x: float, group: LabelGroup, q_max: int = DEFAULT_Q_MAX,
         value = m / group.q
         return GroupElement((m,), value), abs(x - value)
     if group.kind == "two_gen":
-        best = None
-        for q in chain.from_iterable((-i, i) if i else (0,) for i in range(q_max + 1)):
-            p = round(x - q * group.rho)
-            value = p + q * group.rho
-            residual = abs(x - value)
-            if best is None or residual < best[1] - 1e-15:
-                best = (GroupElement((p, q), value), residual)
-        return best
+        # q in the order 0, -1, 1, -2, 2, ..., swept in numpy chunks of 2^11
+        # values, so the search holds little memory: np.rint rounds half to
+        # even like round, and a new best must beat the current one by 1e-15
+        # in sweep order, so each chunk replays that rule on the residuals
+        # below the best it starts from
+        best, best_residual = None, math.inf
+        for start in range(0, q_max + 1, 1 << 10):
+            q = np.empty(2 * min(1 << 10, q_max + 1 - start))
+            q[1::2] = np.arange(start, start + len(q) // 2)
+            q[0::2] = -q[1::2]
+            q = q[1:] if start == 0 else q
+            p = np.rint(x - q * group.rho)
+            residual = np.abs(x - (p + q * group.rho))
+            ahead = np.flatnonzero(residual < best_residual - 1e-15)
+            while ahead.size:
+                i = ahead[0]
+                best, best_residual = (int(p[i]), int(q[i])), float(residual[i])
+                ahead = ahead[residual[ahead] < best_residual - 1e-15]
+        p, q = best
+        return GroupElement((p, q), p + q * group.rho), best_residual
     try:
         smallest = float(group.scale) / group.prime**min(n_max, 1024)
     except OverflowError:  # p^n >= 2^n is past the float range from n = 1024 on

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
+import aperiodix.cohomology as cohomology
 from aperiodix.cohomology import (
     DirectLimitGroup,
     cech_h1,
@@ -23,7 +24,9 @@ from aperiodix.substitution import (
     OccurrenceMatrix,
     SubstitutionRule,
     builtin_rule,
+    expansions,
     is_primitive,
+    least_period,
     occurrence_matrix,
     perron_data,
 )
@@ -220,6 +223,67 @@ def test_fixed_point_period_needs_a_longer_prefix():
     assert window[2**14:] == window[:-2**14]
     assert word[2**14:] != word[:-2**14]
     assert _kmp_least_period(word) > 2**16
+    assert fixed_point_period(rule) is None
+
+
+def expanded_period(rule):
+    """The fixed point of sigma^k (k <= 4) expanded to 2^18 letters and its
+    least period up to 2^14, or None when the Perron root is irrational: the
+    reference of fixed_point_period's integer-eigenvalue certificate."""
+    m = occurrence_matrix(rule).entries
+    lam = round(max(abs(np.linalg.eigvals(np.array(m, dtype=float)))))
+    if int_det([[lam * (i == j) - x for j, x in enumerate(row)]
+                for i, row in enumerate(m)]):
+        return None
+    for power in range(1, 5):
+        for c in rule.alphabet:
+            word = c
+            for _ in range(power):
+                word = word.translate(str.maketrans(rule.images))
+            if word[0] == c and len(word) > 1:
+                while len(word) < 2**18:
+                    for _ in range(power):
+                        word = word.translate(str.maketrans(rule.images))
+                return least_period(word[:2**18], 2**14)
+    raise NoFixedPoint
+
+
+@st.composite
+def fixed_point_rules(draw):
+    if draw(st.integers(0, 2)):
+        return draw(primitive_rules(max_letters=4))
+    # every image a power of one word holding every letter: a periodic hull
+    alphabet = "abcd"[:draw(st.integers(2, 4))]
+    u = "".join(draw(st.permutations(alphabet))) + draw(st.text(alphabet, max_size=3))
+    return SubstitutionRule(tuple(alphabet),
+                            {c: u * draw(st.integers(1, 3)) for c in alphabet})
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(fixed_point_rules())
+def test_fixed_point_period_equals_the_expansion(rule):
+    try:
+        expected = expanded_period(rule)
+    except NoFixedPoint:
+        with pytest.raises(NoFixedPoint):
+            fixed_point_period(rule)
+        return
+    assert fixed_point_period(rule) == expected
+
+
+@pytest.mark.parametrize("rule", [
+    builtin_rule("fibonacci"),
+    SubstitutionRule(("a", "b", "c"), {"a": "ab", "b": "ac", "c": "a"}),
+    SubstitutionRule(("a", "b", "c"), {"a": "b", "b": "cb", "c": "a"}),
+])
+def test_irrational_perron_root_needs_no_expansion(rule, monkeypatch):
+    def short_words_only(rule, letters=None, prefix=None):
+        if prefix is not None:
+            raise AssertionError("a fixed-point prefix was expanded")
+        return expansions(rule, letters)
+
+    monkeypatch.setattr(cohomology, "expansions", short_words_only)
     assert fixed_point_period(rule) is None
 
 

@@ -6,15 +6,17 @@ from pathlib import Path
 import mpmath
 import pytest
 import sympy
+import sympy.polys.factortools
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import aperiodix
 from aperiodix.cohomology import cech_h1, trace_image
-from aperiodix.errors import AperiodixError
+from aperiodix.errors import AperiodixError, Unrecognized
 from aperiodix.exactla import (
     _charpoly,
     char_factors,
+    companion,
     frac_inverse,
     frac_kernel,
     frac_rref,
@@ -271,6 +273,69 @@ def test_charpoly_and_factors_equal_sympys(a):
     assert char_factors(a) == sympy_char_factors(a)
 
 
+IRREDUCIBLES = [
+    (1, 0), (1, -1), (1, 1), (1, -2), (1, 3),
+    (1, 0, 0, 0, 1), (1, 0, -10, 0, 1),     # reducible mod every prime
+    (1, 1, 1), (1, 0, 1), (1, -1, 1), (1, 1, 1, 1, 1), (1, 0, -1, 0, 1),
+    (1, -1, 1, -1, 1), (1, 1, 1, 1, 1, 1, 1),  # cyclotomic
+    (1, -1, -1), (1, -2, -1), (1, -3, 1), (1, -1, -1, -1), (1, 0, -1, -1),
+    (1, -2, 0, -1), (1, -1, 0, 0, -1),        # Pisot
+    (1, 0, -2), (1, 0, 0, -2), (1, 0, -50), (1, 0, -51),
+    (1, -50, 20, -2), (1, -800, 80, -2),      # two roots 0.025 and 8e-4 apart
+]
+
+
+@st.composite
+def block_companions(draw):
+    """Block-diagonal companions of known irreducibles, some repeated, at most
+    12 x 12, conjugated by a unimodular U; with the product of the blocks'
+    polynomials."""
+    blocks = draw(st.lists(st.sampled_from(IRREDUCIBLES), min_size=1, max_size=6)
+                  .filter(lambda bs: sum(len(b) - 1 for b in bs) <= 12))
+    blocks += draw(st.lists(st.sampled_from(blocks), max_size=3)
+                   .filter(lambda bs: sum(len(b) - 1 for b in blocks + bs) <= 12))
+    n = sum(len(b) - 1 for b in blocks)
+    a, at, poly = [[0] * n for _ in range(n)], 0, [1]
+    for b in blocks:
+        for i, row in enumerate(companion(b)):
+            a[at + i][at:at + len(row)] = row
+        at += len(b) - 1
+        poly = poly_mul(poly, b)
+    u = unimodular(draw, n)
+    return mat_mul(mat_mul(u, a), [[int(x) for x in row] for row in frac_inverse(u)]), poly
+
+
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(block_companions())
+def test_char_factors_of_block_companions_equal_sympys(case):
+    a, poly = case
+    factors = char_factors(a)
+    assert _charpoly(a) == poly
+    # factors, their order and their multiplicities
+    assert factors == [(tuple(int(c) for c in g.all_coeffs()), mult)
+                       for g, mult in sympy.Poly(poly, X).factor_list()[1]]
+    product = [1]
+    for g, mult in factors:
+        for _ in range(mult):
+            product = poly_mul(product, g)
+    assert product == poly
+
+
+def test_char_factors_refuses_roots_numpy_cannot_separate():
+    # x^3 - 2 (10^6 x - 1)^2 has two roots 1.4e-15 apart near 1e-6
+    with pytest.raises(Unrecognized, match="^cannot separate the roots of "
+                       r"x\*\*3 - 2000000000000\*x\*\*2 \+ 4000000\*x - 2$"):
+        char_factors(companion((1, -2 * 10**12, 4 * 10**6, -2)))
+
+
 def test_char_factors_of_nilpotent_and_scalar_matrices():
     assert char_factors([[0, 1, 2], [0, 0, 3], [0, 0, 0]]) == [((1, 0), 3)]
     assert char_factors([[-2, 0], [0, -2]]) == [((1, 2), 2)]
@@ -359,7 +424,8 @@ def invariants(rule):
 
 
 def test_hot_path_needs_no_sympy_objects(monkeypatch):
-    # the exact layer runs on ints: no Matrix, no Poly, no nroots
+    # the exact layer runs on ints: no Matrix, no Poly, no nroots and no
+    # sympy factoriser
     rules = guard_rules()
     expected = [invariants(rule) for rule in rules]
 
@@ -370,6 +436,7 @@ def test_hot_path_needs_no_sympy_objects(monkeypatch):
     monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
     monkeypatch.setattr(sympy, "Matrix", refuse)
     monkeypatch.setattr(sympy, "Poly", refuse)
+    monkeypatch.setattr(sympy.polys.factortools, "dup_factor_list", refuse)
     for rule in rules[:len(FAMILIES)]:
         trace_image(rule)
         cech_h1(rule)

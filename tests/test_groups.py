@@ -1,12 +1,17 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aperiodix.errors import UnknownFamily, Unrecognized
 from aperiodix.groups import (
+    LabelGroup,
     cyclic_group,
     field_group,
     localized_group,
@@ -151,6 +156,55 @@ def test_two_gen_search_order_and_memory():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 100_000
+
+
+def loop_nearest(x, rho, q_max):
+    """The two-generator search as one Python loop over q in the order
+    0, -1, 1, -2, 2, ...: the reference of the chunked numpy sweep."""
+    best = None
+    for q in chain.from_iterable((-i, i) if i else (0,) for i in range(q_max + 1)):
+        p = round(x - q * rho)
+        value = p + q * rho
+        residual = abs(x - value)
+        if best is None or residual < best[2] - 1e-15:
+            best = ((p, q), value, residual)
+    return best
+
+
+@st.composite
+def two_gen_searches(draw):
+    # dyadic rho make exact ties between (p, q) pairs; x is drawn at, just
+    # off and between group elements and near half-integers
+    rho = draw(st.sampled_from([0.5, 0.25, 0.375, 0.1, 1 / GOLDEN, math.sqrt(2) - 1])
+               | st.floats(1e-3, 1 - 1e-3))
+    q_max = draw(st.sampled_from([0, 1, 2, 7, 30]) | st.integers(0, 5000))
+    p, q = draw(st.integers(-50, 50)), draw(st.integers(-q_max - 2, q_max + 2))
+    x = draw(st.sampled_from([p + q * rho, p + q * rho + 0.5, p + 0.5, -p - 0.5])
+             | st.floats(-1e6, 1e6))
+    x += draw(st.sampled_from([0.0, 0.0, 1e-16, -1e-16, 2e-15, -3e-15]))
+    return x, rho, q_max
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(two_gen_searches())
+def test_two_gen_sweep_equals_the_loop(search):
+    x, rho, q_max = search
+    elem, residual = nearest_element(x, LabelGroup(kind="two_gen", rho=rho), q_max=q_max)
+    assert (elem.coordinates, elem.value, residual) == loop_nearest(x, rho, q_max)
+    assert all(type(c) is int for c in elem.coordinates) and type(residual) is float
+
+
+def test_two_gen_sweep_is_fast():
+    # one Python loop over the 2 * 10^6 + 1 values of q took 0.7-0.9 s on a
+    # 2-core machine; the sweep is bound at a tenth of that
+    g = two_gen_group(1 / GOLDEN)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        elem, _ = nearest_element(0.123456789, g, q_max=10**6)
+        seconds.append(time.perf_counter() - start)
+    assert elem.coordinates == (-35666, 57709)
+    assert min(seconds) < 0.07
 
 
 @pytest.mark.parametrize("n_max", [1023, 1100, 10**6])
