@@ -287,6 +287,27 @@ def test_irrational_perron_root_needs_no_expansion(rule, monkeypatch):
     assert fixed_point_period(rule) is None
 
 
+def test_certificate_reads_the_power_that_fixes_a_letter():
+    # a -> bb, b -> a is not primitive: M has eigenvalues +-sqrt(2), but
+    # sigma^2 fixes aaaa..., so the integer eigenvalue 2 is M^2's
+    rule = SubstitutionRule(("a", "b"), {"a": "bb", "b": "a"})
+    assert fixed_point_period(rule) == 1
+
+
+def test_irrational_perron_root_outweighs_a_period_of_the_prefix():
+    # the fixed point of a -> a^25 b, b -> a begins with sigma^4(a) =
+    # sigma^3(a)^25 sigma^2(a), so its 2^18-letter prefix has the period
+    # |sigma^3(a)| = 16301 <= 2^14; lambda^2 = 25 lambda + 1 is irrational,
+    # so the fixed point is Sturmian and has no period
+    rule = SubstitutionRule(("a", "b"), {"a": "a" * 25 + "b", "b": "a"})
+    word = "a"
+    while len(word) < 2**18:
+        word = word.translate(str.maketrans(rule.images))
+    assert least_period(word[:2**18], 2**14) == 16301
+    assert fixed_point_period(rule) is None
+    assert trace_image(rule).kind == "two_gen"
+
+
 # -- trace image (Table 1 values) ----------------------------------------------
 
 EXPECTED_TRACE_NAME = {
