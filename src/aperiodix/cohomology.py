@@ -51,8 +51,8 @@ from .groups import LabelGroup, field_group, localized_group, two_gen_group
 from .substitution import (
     SubstitutionRule,
     expansions,
-    least_period,
     occurrence_matrix,
+    periods,
     require_primitive,
 )
 
@@ -175,14 +175,19 @@ def collar(rule: SubstitutionRule, radius: int = 1) -> CollaredAlphabet:
 def fixed_point_period(rule: SubstitutionRule) -> int | None:
     """Least period of the substitution fixed point, or None if aperiodic.
 
-    The fixed point is that of sigma^k (k <= 4).  If it is periodic with
-    least period w, then sigma^k(w) = w^m, so the letter counts of w are an
-    eigenvector of M^k for the integer m = |sigma^k(w)| / |w|, at most
-    max |sigma^k(c)|; with no such integer eigenvalue the answer is None
-    exactly, which an irrational Perron root always gives.  Otherwise the
-    fixed point is expanded to 2^18 letters, and a period counts if it is at
-    most 2^14, a quarter of the 2^16-letter window it shows in, and holds on
-    all 2^18 letters (least_period).
+    The fixed point u is that of sigma^k through the seed letter
+    (_fixed_point_seed).  If u = w^inf with w its least period, then
+    sigma^k(w) = w^m, so the letter counts of w are an eigenvector of M^k
+    for the integer m = |sigma^k(w)| / |w|, at most max |sigma^k(c)|; with
+    no such integer eigenvalue the answer is None exactly, which an
+    irrational Perron root always gives.  Otherwise u is expanded to 2^18
+    letters, and its periods of at most 2^14 (a quarter of the 2^16-letter
+    window they show in) that hold on all 2^18 letters are candidates,
+    least first.  A candidate p counts only if its prefix w of p letters
+    has sigma^k(w) = w^m exactly, m an integer: then w^inf is a fixed point
+    of sigma^k through the seed letter, and that fixed point is unique, so
+    u = w^inf.  Conversely the least period passes, so the first candidate
+    that does is u's least period.  A period longer than 2^14 is not found.
     """
     seed, power = _fixed_point_seed(rule)
     m = imat_pow(occurrence_matrix(rule).entries, power)
@@ -192,15 +197,31 @@ def fixed_point_period(rule: SubstitutionRule) -> int | None:
     for step, words in enumerate(levels):
         if step % power == 0 and len(words[seed]) == FIXED_POINT_PREFIX:
             break
-    return least_period(words[seed], len(words[seed]) // 16)
+    word = words[seed]
+    for p in periods(word, len(word) // 16):
+        image = word[:p]
+        for _ in range(power):
+            image = "".join(rule.images[c] for c in image)
+        copies, rest = divmod(len(image), p)
+        if rest == 0 and image == word[:p] * copies:
+            return p
+    return None
 
 
 def _fixed_point_seed(rule: SubstitutionRule) -> tuple[str, int]:
-    for power, words in enumerate(islice(expansions(rule), 1, 5), start=1):
+    """(c, k) for the least power k, and the first letter c in the alphabet's
+    order, with sigma^k(c) longer than one letter and beginning with c.
+
+    sigma^k(c) begins with f^k(c), f the first-letter map c -> sigma(c)[0],
+    whose cycles are at most |A| letters long, so powers up to
+    max(4, |A|) are searched.
+    """
+    powers = max(4, len(rule.alphabet))
+    for power, words in enumerate(islice(expansions(rule), 1, powers + 1), start=1):
         for c in rule.alphabet:
             if words[c][0] == c and len(words[c]) > 1:
                 return c, power
-    raise NoFixedPoint("no power up to 4 of the substitution fixes a letter")
+    raise NoFixedPoint(f"no power up to {powers} of the substitution fixes a letter")
 
 
 # -- direct limits ------------------------------------------------------------

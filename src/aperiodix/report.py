@@ -90,7 +90,9 @@ def bloch_report(family: str, model=None, tol: float = 1e-3, q_max: int = 30,
     of Bragg peaks alone, all inside the module: true for the periodic,
     Fibonacci and period-doubling families, false for Thue-Morse (a
     singular-continuous component survives) and Rudin-Shapiro (no Bragg
-    peaks at all).  Bad bounds are refused before any work.
+    peaks at all).  Bad bounds are refused before any work.  The gap edges
+    are refined only until every gap's width is decided (_approximant_gaps):
+    the labels need no edge.
     """
     if not (tol >= 0 and rel_threshold > 0 and q_max >= 0 and n_max >= 0):
         raise ValueError(f"need tol, q_max, n_max >= 0 and rel_threshold > 0, got tol={tol}, "
@@ -101,7 +103,7 @@ def bloch_report(family: str, model=None, tol: float = 1e-3, q_max: int = 30,
 
     trace = trace_image(rule)
 
-    counting, gaps = _approximant_gaps(rule, order, model, rel_threshold)
+    counting, gaps = _approximant_gaps(rule, order, model, rel_threshold, edges=False)
     gap_labels = []
     for gap in gaps:
         element, residual = nearest_element(gap.ids_value, trace, q_max=q_max,
@@ -159,21 +161,26 @@ def hull_averaged_gaps(rule, order: int, model=None,
     return _approximant_gaps(rule, order, model, rel_threshold)[1]
 
 
-def _approximant_gaps(rule, order, model, rel_threshold):
+def _approximant_gaps(rule, order, model, rel_threshold, edges=True):
     """(curve, gaps) of the approximant, found by a scan of its lifted count.
 
     The shift x = 2e runs over a grid of the approximant's Gershgorin
     interval.  At each grid point spectral.lifted_counts gives the count j
     per period where it certifies one (hyperbolic transfer matrix, integral
     rotation number), which holds in a gap and not in a band.  A gap is a
-    maximal run of certified points with one j, 0 < j < N.  Each run's
-    edges are refined in all runs at once by multisection on the same
-    predicate: REFINE_POINTS points inside each edge's bracket per pass,
-    until the brackets stop shrinking.  rel_threshold is measured against
-    the mean level spacing, the interval's width over N, and the grid step
-    is at most half that width, so no gap wider than it is missed.  Each
-    gap's ids is j/N exactly.  curve holds the halved energies and j/N at
-    the ends of every run, at most N points, for the N(e) plot.
+    maximal run of certified points with one j, 0 < j < N.  rel_threshold
+    is measured against the mean level spacing, the interval's width over
+    N, and the grid step is at most half that width, so no gap wider than
+    it is missed; a gap counts if its refined width is above the threshold.
+    Each gap's ids is j/N exactly.  curve holds the halved energies and j/N
+    at the ends of every run, at most N points, for the N(e) plot.
+
+    The edges are refined by the passes of _refine.  With edges, every pass
+    runs and the edges are the last pass's.  Without, the passes stop once
+    no gap's width is undecided, that is, none has an inside width at most
+    the threshold and an outside width above it; the brackets are nested,
+    so the gap set is the one the last pass gives, and the edges are the
+    deciding pass's.
     """
     if not rel_threshold > 0:
         raise ValueError(f"rel_threshold must be positive, got {rel_threshold}")
@@ -201,20 +208,33 @@ def _approximant_gaps(rule, order, model, rel_threshold):
     wide = xs[stop + 1] - xs[start - 1] > threshold
     start, stop = start[wide], stop[wide]
     labels = j[start]
-    lower, upper = _refine(appr, xs[np.r_[start, stop]], xs[np.r_[start - 1, stop + 1]],
-                           np.r_[labels, labels]).reshape(2, -1)
+    for inside, outside in _refine(appr, xs[np.r_[start, stop]],
+                                   xs[np.r_[start - 1, stop + 1]], np.r_[labels, labels]):
+        lower, upper = inside.reshape(2, -1)
+        outer_lower, outer_upper = outside.reshape(2, -1)
+        if not edges and not np.any((upper - lower <= threshold)
+                                    & (outer_upper - outer_lower > threshold)):
+            break
     gaps = [Gap(0.5 * lo, 0.5 * up, 0.5 * up - 0.5 * lo, int(label) / n)
             for lo, up, label in zip(lower, upper, labels) if up - lo > threshold]
     return curve, gaps
 
 
 def _refine(appr, inside, outside, labels):
-    """Each gap edge moved from its certified shift `inside` towards `outside`,
+    """The passes of the edge refinement, each as its brackets (inside, outside).
+
+    Each gap edge moves from its certified shift `inside` towards `outside`,
     the nearest shift known to lie past the edge, while the count stays
     certified at its label: REFINE_POINTS evenly spaced shifts per bracket
-    and pass, all brackets in one lifted_counts call, until none shrinks."""
+    and pass, all brackets in one lifted_counts call, until none shrinks or
+    REFINE_PASSES passes have run.  The scan's brackets come first, then
+    each pass's.  A pass keeps each edge inside its bracket, so insides only
+    move outward and outsides only inward: every bracket holds the last
+    pass's edge.
+    """
     steps = np.arange(1, REFINE_POINTS + 1) / (REFINE_POINTS + 1)
     rows = np.arange(len(inside))
+    yield inside, outside
     for _ in range(REFINE_PASSES):
         points = np.column_stack([inside, inside[:, None] + (outside - inside)[:, None] * steps,
                                   outside])
@@ -226,9 +246,9 @@ def _refine(appr, inside, outside, labels):
                                            np.zeros(len(rows), dtype=bool)]), axis=1)
         if np.array_equal(points[rows, first - 1], inside) and np.array_equal(
                 points[rows, first], outside):
-            break
+            return
         inside, outside = points[rows, first - 1], points[rows, first]
-    return inside
+        yield inside, outside
 
 
 def round15(x: float) -> float:

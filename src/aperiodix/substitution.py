@@ -208,8 +208,8 @@ def expand_word(rule: SubstitutionRule, seed: str, order: int) -> str:
     return next(islice(expansions(rule, (seed,)), order, None))[seed]
 
 
-def least_period(word: str, max_period: int) -> int | None:
-    """Least period of word if it is at most max_period, else None.
+def periods(word: str, max_period: int):
+    """Every period of word up to max_period, least first.
 
     Each period p makes the head word[:max_period] recur at p, so the
     candidates are the head's occurrences at 1..max_period, each confirmed
@@ -222,9 +222,13 @@ def least_period(word: str, max_period: int) -> int | None:
     p = word.find(head, 1, 2 * max_period)
     while p != -1:
         if word[p:] == word[:-p]:
-            return p
+            yield p
         p = word.find(head, p + 1, 2 * max_period)
-    return None
+
+
+def least_period(word: str, max_period: int) -> int | None:
+    """Least period of word if it is at most max_period, else None (see periods)."""
+    return next(periods(word, max_period), None)
 
 
 BUILTIN_RULES = {

@@ -403,6 +403,38 @@ def test_rule_file_input(tmp_path, capsys):
     assert json.loads(out)["length"] == 13
 
 
+def _rule_file(tmp_path, images):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"alphabet": sorted(images), "images": images}))
+    return str(path)
+
+
+def test_window_period_without_the_certificate_is_no_period(tmp_path, capsys):
+    # the 2^18-letter prefix of sigma^2's fixed point has the period 5^6, yet
+    # sigma^2(w) != w^25 for its prefix w of 5^6 letters: no period
+    rule = _rule_file(tmp_path, {"a": "bbbba", "b": "aaaaa"})
+    code, out, _ = run_cli(["trace", "--rule-file", rule], capsys)
+    assert code == 0 and json.loads(out)["trace_group"] == "(1/9)Z[1/5]"
+    code, out, _ = run_cli(["cohomology", "--rule-file", rule], capsys)
+    assert code == 0 and "periodic" not in json.loads(out)["note"]
+
+
+def test_false_period_of_a_composite_inflation_is_refused(tmp_path, capsys):
+    rule = _rule_file(tmp_path, {"a": "bababa", "b": "aaaaaa"})
+    code, _, err = run_cli(["trace", "--rule-file", rule], capsys)
+    assert code == 1
+    assert err == "aperiodix: error: composite inflation factor 6 unsupported\n"
+
+
+def test_first_letter_cycle_as_long_as_the_alphabet(tmp_path, capsys):
+    # the first letter of sigma^k(a) runs a, b, c, d, e, a: sigma^5 fixes a
+    rule = _rule_file(tmp_path, {"a": "ba", "b": "cb", "c": "dc", "d": "ed", "e": "ae"})
+    code, out, _ = run_cli(["trace", "--rule-file", rule], capsys)
+    assert code == 0 and json.loads(out)["trace_group"] == "(1/155)Z[1/2]"
+    code, out, _ = run_cli(["cohomology", "--rule-file", rule], capsys)
+    assert code == 0 and json.loads(out)["H1"] == "Z^20 ⊕ Z[1/2]"
+
+
 @pytest.mark.parametrize("rule", [
     {"alphabet": ["a", "b"], "images": {"a": "ab", "b": "a"}, "tiles": {"a": "x", "b": "y"}},
     {"alphabet": ["b", "c"], "images": {"b": "bc", "c": "b"}},

@@ -3,13 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from aperiodix import cli, spectral
 from aperiodix import report as report_module
 from aperiodix.diffraction import contrast_spectrum, module_distance
 from aperiodix.report import bloch_report, hull_averaged_gaps, report_to_dict, to_json
 from aperiodix.spectral import HoppingModel, OnsiteModel, _sturm_count, build_chain
-from aperiodix.substitution import builtin_rule, expand_word
+from aperiodix.substitution import (
+    SubstitutionRule,
+    builtin_rule,
+    expand_word,
+    is_primitive,
+    occurrence_matrix,
+)
 
 # all five families at order 8-10 (N <= 256), on-site and hopping models
 HULL_CASES = [
@@ -113,6 +121,64 @@ def test_hull_counts_equal_window_spectra(family, order, model):
         count = _sturm_count(window.onsite, window.hopping**2,
                              np.array([gap.lower + gap.upper]))[0]
         assert abs(count - WINDOW_PERIODS * round(j)) <= 1, (gap, count)
+
+
+FAMILY_MODELS = [(family, model) for model in (OnsiteModel(0.0, 1.0), HoppingModel(0.0, 1.0, 1.0))
+                 for family in report_module.DEFAULT_SPECTRAL_ORDER]
+
+
+@pytest.mark.parametrize("family,model", FAMILY_MODELS)
+def test_bloch_labels_the_refined_gaps_with_few_passes(monkeypatch, family, model):
+    # bloch_report stops refining once every gap's width is decided: the same
+    # gaps as the full refinement, from the scan and at most two passes
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return spectral.lifted_counts(*args)
+
+    monkeypatch.setattr(report_module, "lifted_counts", counted)
+    report = bloch_report(family, model=model)
+    assert len(calls) <= 3
+    monkeypatch.undo()
+    gaps = hull_averaged_gaps(builtin_rule(family), report.spectral_order, model)
+    assert [g.ids_value for g in report.gap_labels] == [g.ids_value for g in gaps]
+
+
+@st.composite
+def approximant_cases(draw):
+    alphabet = "abcd"[:draw(st.integers(2, 4))]
+    images = {c: draw(st.text(alphabet, min_size=1, max_size=4)) for c in alphabet}
+    tiles = {c: draw(st.sampled_from("ab")) for c in alphabet} if len(alphabet) > 2 else {}
+    rule = SubstitutionRule(tuple(alphabet), images, tiles=tiles)
+    if not is_primitive(occurrence_matrix(rule)):
+        reject()
+    target = draw(st.integers(report_module.MIN_PERIOD, 400))
+    order = 0
+    while len(expand_word(rule, alphabet[0], order)) < target:
+        order += 1
+    if len(expand_word(rule, alphabet[0], order)) > 1500:
+        reject()
+    model = draw(st.sampled_from([OnsiteModel(0.0, 1.0), OnsiteModel(-0.5, 2.0),
+                                  HoppingModel(0.0, 1.0, 1.0), HoppingModel(0.3, -0.4, 0.8)]))
+    return rule, order, model, draw(st.floats(0.25, 20.0))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(approximant_cases())
+def test_decided_gaps_are_the_fully_refined_ones(case):
+    rule, order, model, rel_threshold = case
+    try:
+        _, full = report_module._approximant_gaps(rule, order, model, rel_threshold)
+    except ValueError:  # a period word over one tile
+        reject()
+    _, decided = report_module._approximant_gaps(rule, order, model, rel_threshold,
+                                                 edges=False)
+    assert [g.ids_value for g in decided] == [g.ids_value for g in full]
+    # the deciding pass brackets each refined edge from inside
+    for fast, slow in zip(decided, full):
+        assert slow.lower <= fast.lower and fast.upper <= slow.upper
 
 
 def test_report_keeps_its_contrast_grid(reports):
