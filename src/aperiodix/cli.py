@@ -146,8 +146,7 @@ def cmd_diffract(args) -> int:
         out.write(f"{fmt(k)},{fmt(s)}\n")
     _write(out.getvalue(), args.out)
     if args.svg:
-        series = [Series(tuple(float(k) for k in spec.k_values),
-                         tuple(float(s) for s in spec.S))]
+        series = [Series(tuple(spec.k_values.tolist()), tuple(spec.S.tolist()))]
         _write(render_svg([(series, "k", "S(k)")]), args.svg)
     return 0
 
@@ -260,10 +259,8 @@ def cmd_bloch(args) -> int:
     if args.svg:
         spec = report.diffraction
         energies, ids = report.counting
-        top = [Series(tuple(float(k) for k in spec.k_values),
-                      tuple(float(s) for s in spec.S))]
-        bottom = [Series(tuple(float(e) for e in energies),
-                         tuple(float(x) for x in ids), color="#d62728")]
+        top = [Series(tuple(spec.k_values.tolist()), tuple(spec.S.tolist()))]
+        bottom = [Series(tuple(energies.tolist()), tuple(ids.tolist()), color="#d62728")]
         _write(render_svg([(top, "k", "S(k)"),
                            (bottom, "e", "N(e)")]), args.svg)
     return 0

@@ -56,7 +56,7 @@ from .substitution import (
     require_primitive,
 )
 
-FIXED_POINT_PREFIX = 2**18
+FIXED_POINT_PREFIX = 2**16
 
 __all__ = [
     "CollaredAlphabet",
@@ -180,14 +180,16 @@ def fixed_point_period(rule: SubstitutionRule) -> int | None:
     sigma^k(w) = w^m, so the letter counts of w are an eigenvector of M^k
     for the integer m = |sigma^k(w)| / |w|, at most max |sigma^k(c)|; with
     no such integer eigenvalue the answer is None exactly, which an
-    irrational Perron root always gives.  Otherwise u is expanded to 2^18
-    letters, and its periods of at most 2^14 (a quarter of the 2^16-letter
-    window they show in) that hold on all 2^18 letters are candidates,
-    least first.  A candidate p counts only if its prefix w of p letters
-    has sigma^k(w) = w^m exactly, m an integer: then w^inf is a fixed point
-    of sigma^k through the seed letter, and that fixed point is unique, so
-    u = w^inf.  Conversely the least period passes, so the first candidate
-    that does is u's least period.  A period longer than 2^14 is not found.
+    irrational Perron root always gives.  Otherwise u is expanded to 2^16
+    letters, and its periods of at most 2^14 (a quarter of them) that hold
+    on all 2^16 letters are candidates, least first.  A candidate p counts
+    only if its prefix w of p letters has sigma^k(w) = w^m exactly, m an
+    integer: then w^inf is a fixed point of sigma^k through the seed
+    letter, and that fixed point is unique, so u = w^inf.  Conversely the
+    least period passes, so the first candidate that does is u's least
+    period.  The certificate decides every candidate, so the prefix's
+    length sets only the cost, not the answer.  A period longer than 2^14
+    is not found.
     """
     seed, power = _fixed_point_seed(rule)
     m = imat_pow(occurrence_matrix(rule).entries, power)
@@ -198,7 +200,7 @@ def fixed_point_period(rule: SubstitutionRule) -> int | None:
         if step % power == 0 and len(words[seed]) == FIXED_POINT_PREFIX:
             break
     word = words[seed]
-    for p in periods(word, len(word) // 16):
+    for p in periods(word, len(word) // 4):
         image = word[:p]
         for _ in range(power):
             image = "".join(rule.images[c] for c in image)

@@ -20,10 +20,12 @@ Rule-level amplitudes (contrast spectra, the classification grid, peak
 scaling) use the substitution's self-similarity instead: sigma^n(s) is a run
 of supertiles sigma^m(c), m = n // 2, each placed at the chain's own position
 of its start, so one k costs about 2 sqrt(N) exponentials instead of N
-(_supertile_amplitude).  Their parts go through the plain per-k sum
-(_grid_amplitudes), because the peak zoom calls them on concatenated windows,
-not on one uniform grid.  One rule-level call solves the rule's Perron data
-once and expands its words once for all its orders (_contrast_chains).
+(_supertile_amplitude).  The peak zoom evaluates their parts window by
+window, each window a uniform grid of its own, by the same factorised sum;
+the rule-level grids (contrast spectra, the classification grid) still take
+the plain per-k sum (_grid_amplitudes).  One rule-level call solves the
+rule's Perron data once and expands its words once for all its orders
+(_contrast_chains).
 
 Growth exponents gamma are fitted on S(k*) ~ L^gamma (Bragg peaks saturate
 at gamma = 1, the principal Thue-Morse peak at log2(3) - 1).
@@ -86,7 +88,8 @@ def structure_factor_grid(chain: AtomChain, k_min: float, k_max: float,
                           samples: int) -> DiffractionSpectrum:
     """S(k) = |G(k)|^2 / N on a uniform grid, by the factorised phase sum."""
     return _grid_spectrum(
-        chain, lambda ks: np.abs(_uniform_grid_amplitudes(chain.positions, ks)),
+        chain, lambda ks: np.abs(_uniform_grid_amplitudes(
+            chain.positions, None, ks[:1], ks[-1:], len(ks))[0]),
         k_min, k_max, samples)
 
 
@@ -105,45 +108,51 @@ def _grid_spectrum(chain: AtomChain, amplitude, k_min: float, k_max: float,
                                chain.n_atoms, chain.total_length)
 
 
-def _uniform_grid_amplitudes(positions: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """G(k) = sum exp(-i k x_n) (complex) on a uniform grid ks, as np.linspace gives.
+def _uniform_grid_amplitudes(positions: np.ndarray, weights, starts: np.ndarray,
+                             stops: np.ndarray, count: int) -> np.ndarray:
+    """G(k) = sum w_n exp(-i k x_n) (complex) on a batch of uniform windows.
 
-    With h = (k_max - k_min) / (samples - 1), R = ceil(sqrt(samples)) and
-    Q = ceil(samples / R), grid point qR + r has the phase
-    e^{-i (k_min + qRh) x} e^{-i rhx}: a Q-column block A and an R-column
+    Row j holds G on window j's grid np.linspace(starts[j], stops[j], count);
+    weights None means w_n = 1.  Each window is factorised on its own: with
+    h = (stop - start) / (count - 1), R = ceil(sqrt(count)) and
+    Q = ceil(count / R), grid point qR + r has the phase
+    e^{-i (start + qRh) x} e^{-i rhx}: a Q-column block A and an R-column
     block B of exponentials per atom, and G on the Q x R grid is the
-    contraction sum_n A[n, q] B[n, r], cut back to samples points.  That is
-    (Q + R) N exponentials instead of samples N.  The atoms are taken in
-    blocks of at most 2^18 / (Q + R), accumulated in atom order, so a block
-    holds about as many elements as a chunk of _grid_amplitudes.  einsum
-    without optimize contracts in numpy's own loops (no BLAS, no threads), so
-    the result is the same bit for bit on every run.
+    contraction sum_n A[n, q] B[n, r], cut back to count points.  That is
+    (Q + R) N exponentials per window instead of count N.  The atoms are
+    taken in blocks of at most 2^18 / (Q + R), whatever the number of
+    windows, accumulated in atom order, so a block holds about as many
+    elements per window as a chunk of _grid_amplitudes.  einsum without
+    optimize contracts in numpy's own loops (no BLAS, no threads) and sums
+    each window's atoms in order, so a window's row is the same bit for bit
+    on every run and in any batch.
     """
-    samples = len(ks)
-    h = (ks[-1] - ks[0]) / (samples - 1)
-    n_r = math.isqrt(samples - 1) + 1
-    n_q = -(-samples // n_r)
-    coarse = ks[0] + (n_r * h) * np.arange(n_q)
-    fine = h * np.arange(n_r)
+    h = (stops - starts) / (count - 1)
+    n_r = math.isqrt(count - 1) + 1
+    n_q = -(-count // n_r)
+    coarse = starts[:, None] + (n_r * h)[:, None] * np.arange(n_q)
+    fine = h[:, None] * np.arange(n_r)
     block = (1 << 18) // (n_q + n_r)
-    total = np.zeros((n_q, n_r), dtype=complex)
+    total = np.zeros((len(starts), n_q, n_r), dtype=complex)
     for start in range(0, len(positions), block):
-        x = positions[start:start + block, None]
+        x = positions[start:start + block, None, None]
         outer = -1j * x * coarse
         inner = -1j * x * fine
         np.exp(outer, out=outer)
         np.exp(inner, out=inner)
-        total += np.einsum("jq,jr->qr", outer, inner, optimize=False)
-    return total.ravel()[:samples]
+        if weights is not None:
+            outer *= weights[start:start + block, None, None]
+        total += np.einsum("jwq,jwr->wqr", outer, inner, optimize=False)
+    return total.reshape(len(starts), -1)[:, :count]
 
 
 def _grid_amplitudes(positions: np.ndarray, weights, ks: np.ndarray) -> np.ndarray:
     """G(k) = sum w_n exp(-i k x_n) (complex) for every k, chunked to bound memory.
 
-    The per-k phase sum behind rule-level amplitudes, taken supertile by
-    supertile (_supertile_amplitude).  Their k-vectors are not one uniform
-    grid (the peak zoom concatenates windows), so they cannot take the
-    factorised sum of _uniform_grid_amplitudes.  numpy reduces axis 0 of a
+    The per-k phase sum behind the rule-level grids (contrast spectra and the
+    classification grid), taken supertile by supertile (_supertile_amplitude);
+    the peak zoom's windows take the factorised sum of
+    _uniform_grid_amplitudes instead.  numpy reduces axis 0 of a
     block two or more columns wide row by row, so each k's sum runs over the
     atoms in order, whatever the other k of the grid; a one-column block
     would be summed pairwise instead, so a one-column tail is folded into the
@@ -168,8 +177,8 @@ def _grid_amplitudes(positions: np.ndarray, weights, ks: np.ndarray) -> np.ndarr
 
 
 def _supertile_amplitude(rule: SubstitutionRule, levels, order: int,
-                         positions: np.ndarray, weights):
-    """k-vector -> |sum w_n exp(-i k x_n)| over the chain of sigma^order, by supertiles.
+                         positions: np.ndarray, weights) -> "_Supertiles":
+    """|sum w_n exp(-i k x_n)| over the chain of sigma^order, by supertiles.
 
     levels[j] maps each letter c to sigma^j(c), for j up to order, from
     substitution.expansions of the chain's seed rule.alphabet[0].
@@ -196,13 +205,26 @@ def _supertile_amplitude(rule: SubstitutionRule, levels, order: int,
             parts.append((positions[tile] - positions[at[0]],
                           None if weights is None else weights[tile],
                           positions[at]))
+    return _Supertiles(tuple(parts))
 
-    def amplitude(ks):
+
+@dataclass(frozen=True)
+class _Supertiles:
+    """The parts (offsets F_c sums, their weights, origins P_c sums) of |G|."""
+    parts: tuple
+
+    def __call__(self, ks: np.ndarray) -> np.ndarray:
+        """|G| on a k-vector, each part by the per-k sum (the rule-level grids)."""
         return np.abs(sum(_grid_amplitudes(offsets, w, ks)
                           * _grid_amplitudes(origins, None, ks)
-                          for offsets, w, origins in parts))
+                          for offsets, w, origins in self.parts))
 
-    return amplitude
+    def windows(self, starts: np.ndarray, stops: np.ndarray, count: int) -> np.ndarray:
+        """|G| on every window's np.linspace(start, stop, count), one row per
+        window, each part by the factorised sum of _uniform_grid_amplitudes."""
+        return np.abs(sum(_uniform_grid_amplitudes(offsets, w, starts, stops, count)
+                          * _uniform_grid_amplitudes(origins, None, starts, stops, count)
+                          for offsets, w, origins in self.parts))
 
 
 # -- species contrast ---------------------------------------------------------
@@ -232,7 +254,7 @@ def contrast_spectrum(rule: SubstitutionRule, order: int, k_min: float,
 
 
 def _contrast_chains(rule: SubstitutionRule, orders) -> dict:
-    """order -> (scaled chain, contrast amplitude k-vector -> |G|) for every order.
+    """order -> (scaled chain, contrast amplitude |G| as _Supertiles) for every order.
 
     The rule's Perron data is solved once and its words are expanded in one
     pass up to the largest order; every order's chain and supertiles are
@@ -256,10 +278,12 @@ def _zoom_peaks(fun, windows) -> list[tuple[float, float]]:
     """(argmax, max) of fun on each window [a, b] by iterated grid zoom, all
     windows at once.
 
-    fun maps a k-vector to its values, so each round is one call on the
-    concatenated grids of every window (one supertile-factorised sum for the
-    contrast amplitude), split back per window.  A k's amplitude does not
-    depend on the other k of its call (_grid_amplitudes), so each window
+    fun(starts, stops, count) gives the values on every window's
+    np.linspace(start, stop, count), one row per window, so each round is
+    one call on the clamped windows as they stand (for the contrast
+    amplitude, _Supertiles.windows: each window takes the factorised
+    uniform-grid sum on its own).  A window's row does not depend on the
+    other windows of its call (_uniform_grid_amplitudes), so each window
     zooms as it would alone, and the max it returns is the amplitude the
     peak's fit uses.  Quasiperiodic spectra are spiky and far from
     unimodal, so golden-section style bracketing can lose the peak; an
@@ -267,16 +291,16 @@ def _zoom_peaks(fun, windows) -> list[tuple[float, float]]:
     onto the winning cell.  Each of the ZOOM_ROUNDS rounds samples
     ZOOM_POINTS points per window.
     """
-    bounds = [(float(a), float(b)) for a, b in windows]
-    best = [(0.5 * (a + b), -math.inf) for a, b in bounds]
+    bounds = np.array(windows, dtype=float)
+    best = [(0.5 * (a + b), -math.inf) for a, b in bounds.tolist()]
     for _ in range(ZOOM_ROUNDS):
-        grids = [np.linspace(a, b, ZOOM_POINTS) for a, b in bounds]
-        values = np.split(fun(np.concatenate(grids)), len(grids))
-        for j, (ks, vals) in enumerate(zip(grids, values)):
+        values = fun(bounds[:, 0], bounds[:, 1], ZOOM_POINTS)
+        for j, vals in enumerate(values):
+            ks = np.linspace(bounds[j, 0], bounds[j, 1], ZOOM_POINTS)
             i = int(np.argmax(vals))
             if vals[i] > best[j][1]:
                 best[j] = (float(ks[i]), float(vals[i]))
-            bounds[j] = (float(ks[max(i - 1, 0)]), float(ks[min(i + 1, ZOOM_POINTS - 1)]))
+            bounds[j] = ks[max(i - 1, 0)], ks[min(i + 1, ZOOM_POINTS - 1)]
     return best
 
 
@@ -303,8 +327,8 @@ def _peak_scaling(chains, orders: tuple[int, ...], k_stars: list[float],
     """
     if len(orders) < 4:
         raise ValueError("need at least 4 orders for a scaling fit")
-    refined = [_zoom_peaks(chains[order][1], [(k - refine_halfwidth, k + refine_halfwidth)
-                                              for k in k_stars])
+    refined = [_zoom_peaks(chains[order][1].windows,
+                           [(k - refine_halfwidth, k + refine_halfwidth) for k in k_stars])
                for order in orders]
     lengths = [chains[order][0].total_length for order in orders]
     xs = np.log(lengths)

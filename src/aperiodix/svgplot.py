@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 WIDTH = 640
 HEIGHT = 400
 MARGIN = 48
@@ -16,15 +18,11 @@ class Series:
     color: str = "#1f77b4"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def _panel(series, xlabel: str, ylabel: str, y_offset: int, height: int) -> list[str]:
-    xs_all = [x for s in series for x in s.xs]
-    ys_all = [y for s in series for y in s.ys]
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
+    xs = [np.asarray(s.xs, dtype=float) for s in series]
+    ys = [np.asarray(s.ys, dtype=float) for s in series]
+    x0, x1 = min(a.min() for a in xs), max(a.max() for a in xs)
+    y0, y1 = min(a.min() for a in ys), max(a.max() for a in ys)
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -32,18 +30,17 @@ def _panel(series, xlabel: str, ylabel: str, y_offset: int, height: int) -> list
     plot_w = WIDTH - 2 * MARGIN
     plot_h = height - 2 * MARGIN
 
-    def px(x):
-        return MARGIN + plot_w * (x - x0) / (x1 - x0)
-
-    def py(y):
-        return y_offset + height - MARGIN - plot_h * (y - y0) / (y1 - y0)
-
     out = [
         f'<rect x="{MARGIN}" y="{y_offset + MARGIN}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444444" stroke-width="1"/>'
     ]
-    for s in series:
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.xs, s.ys))
+    # the per-point formula MARGIN + plot_w (x - x0) / (x1 - x0), and its y
+    # twin, in the same operations and order, so the same floats and bytes
+    with np.errstate(over="ignore", invalid="ignore"):
+        pxs = [MARGIN + plot_w * (a - x0) / (x1 - x0) for a in xs]
+        pys = [y_offset + height - MARGIN - plot_h * (a - y0) / (y1 - y0) for a in ys]
+    for s, px, py in zip(series, pxs, pys):
+        points = " ".join(map("{:.6g},{:.6g}".format, px.tolist(), py.tolist()))
         out.append(f'<polyline fill="none" stroke="{s.color}" '
                    f'stroke-width="1" points="{points}"/>')
     out.append(f'<text x="{WIDTH // 2}" y="{y_offset + height - 10}" '

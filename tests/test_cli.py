@@ -5,9 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from aperiodix import cli
 from aperiodix.cli import build_parser, main
+from aperiodix import svgplot
 from aperiodix.svgplot import Series, render_svg
 
 
@@ -454,6 +457,62 @@ def test_svg_emission():
     assert text.count("<polyline") == 1
     assert ">k</text>" in text and ">S(k)</text>" in text  # default labels
     assert render_svg([([Series((0.0, 1.0), (0.0, 2.0))], "", "")]) == text
+
+
+def per_point_panel(series, y_offset, height):
+    """The polylines' points of one panel, each point by the scalar formula."""
+    xs_all = [x for s in series for x in s.xs]
+    ys_all = [y for s in series for y in s.ys]
+    x0, x1 = min(xs_all), max(xs_all)
+    y0, y1 = min(ys_all), max(ys_all)
+    if x1 == x0:
+        x1 = x0 + 1.0
+    if y1 == y0:
+        y1 = y0 + 1.0
+    plot_w = svgplot.WIDTH - 2 * svgplot.MARGIN
+    plot_h = height - 2 * svgplot.MARGIN
+
+    def px(x):
+        return svgplot.MARGIN + plot_w * (x - x0) / (x1 - x0)
+
+    def py(y):
+        return y_offset + height - svgplot.MARGIN - plot_h * (y - y0) / (y1 - y0)
+
+    return [" ".join(f"{px(x):.6g},{py(y):.6g}" for x, y in zip(s.xs, s.ys))
+            for s in series]
+
+
+# finite floats of every sign and magnitude, with repeats for constant series
+svg_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1.0, -3.5]))
+
+
+@st.composite
+def svg_panels(draw):
+    series = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 40))
+        if draw(st.booleans()):
+            ys = [draw(svg_values)] * n       # a constant series
+        else:
+            ys = draw(st.lists(svg_values, min_size=n, max_size=n))
+        xs = draw(st.lists(svg_values, min_size=n, max_size=n))
+        series.append(Series(tuple(xs), tuple(ys)))
+    return series
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(svg_panels(), min_size=1, max_size=2))
+def test_svg_points_equal_the_per_point_formula(panels):
+    try:
+        expected = [p for i, series in enumerate(panels)
+                    for p in per_point_panel(series, i * svgplot.HEIGHT, svgplot.HEIGHT)]
+    except ZeroDivisionError:
+        reject()   # a constant series at 2^53 or more: x0 + 1.0 == x0
+    text = render_svg([(series, "k", "S(k)") for series in panels])
+    points = [line.split('points="')[1].split('"')[0]
+              for line in text.splitlines() if line.startswith("<polyline")]
+    assert points == expected
 
 
 def test_svg_panels_and_validation():

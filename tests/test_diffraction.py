@@ -248,6 +248,27 @@ def direct_amplitudes(positions, weights, ks):
     return np.array([abs((weights * np.exp(-1j * k * positions)).sum()) for k in ks])
 
 
+def single_grid_amplitudes(positions, ks):
+    """structure_factor_grid's kernel as it stood before it took batches of
+    windows, kept verbatim as the reference its output must equal bit for bit."""
+    samples = len(ks)
+    h = (ks[-1] - ks[0]) / (samples - 1)
+    n_r = math.isqrt(samples - 1) + 1
+    n_q = -(-samples // n_r)
+    coarse = ks[0] + (n_r * h) * np.arange(n_q)
+    fine = h * np.arange(n_r)
+    block = (1 << 18) // (n_q + n_r)
+    total = np.zeros((n_q, n_r), dtype=complex)
+    for start in range(0, len(positions), block):
+        x = positions[start:start + block, None]
+        outer = -1j * x * coarse
+        inner = -1j * x * fine
+        np.exp(outer, out=outer)
+        np.exp(inner, out=inner)
+        total += np.einsum("jq,jr->qr", outer, inner, optimize=False)
+    return total.ravel()[:samples]
+
+
 @st.composite
 def primitive_rules(draw):
     alphabet = "abcd"[:draw(st.integers(2, 4))]
@@ -316,6 +337,8 @@ def test_structure_factor_grid_equals_direct_sum(grid):
     direct = direct_amplitudes(positions, np.ones(len(positions)), spec.k_values)
     s_direct = direct ** 2 / chain.n_atoms
     assert np.max(np.abs(spec.S - s_direct)) <= 1e-9 * s_direct.max()
+    reference = single_grid_amplitudes(positions, spec.k_values)
+    assert np.array_equal(spec.S, np.abs(reference) ** 2 / chain.n_atoms)
 
 
 def test_structure_factor_grid_over_many_atom_blocks():
@@ -329,6 +352,8 @@ def test_structure_factor_grid_over_many_atom_blocks():
     assert np.max(np.abs(spec.S[probe] - s_direct)) <= 1e-9 * spec.S.max()
     again = structure_factor_grid(chain, 0.05, 0.05 + 4 * math.pi, 2048)
     assert np.array_equal(spec.S, again.S)
+    reference = single_grid_amplitudes(positions, spec.k_values)
+    assert np.array_equal(spec.S, np.abs(reference) ** 2 / chain.n_atoms)
 
 
 def test_grid_determinism():
@@ -336,3 +361,61 @@ def test_grid_determinism():
     a = structure_factor_grid(chain, 0.0, 10.0, 777)
     b = structure_factor_grid(chain, 0.0, 10.0, 777)
     assert np.array_equal(a.S, b.S)
+
+
+@st.composite
+def window_batches(draw):
+    """Sorted random positions, optional weights, and 1-7 uniform windows of
+    one count, each window's start of either sign."""
+    n = draw(st.integers(1, 300))
+    positions = np.sort(np.array(draw(st.lists(
+        st.floats(0.0, 500.0), min_size=n, max_size=n))))
+    weights = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    count = draw(st.sampled_from([2, 3, 65, 2048]))
+    windows = draw(st.integers(1, 7))
+    starts = np.array(draw(st.lists(st.floats(-20.0, 20.0),
+                                    min_size=windows, max_size=windows)))
+    widths = np.array(draw(st.lists(st.floats(0.01, 30.0),
+                                    min_size=windows, max_size=windows)))
+    return positions, weights, starts, starts + widths, count
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(window_batches())
+def test_window_batch_amplitudes(batch):
+    positions, weights, starts, stops, count = batch
+    values = diffraction._uniform_grid_amplitudes(positions, weights, starts, stops, count)
+    assert values.shape == (len(starts), count)
+    plain = np.ones(len(positions)) if weights is None else weights
+    for j, (a, b) in enumerate(zip(starts, stops)):
+        # a window in a batch is the same window alone, to the last bit
+        alone = diffraction._uniform_grid_amplitudes(positions, weights, starts[j:j + 1],
+                                                     stops[j:j + 1], count)
+        assert np.array_equal(values[j], alone[0])
+        ks = np.linspace(a, b, count)
+        s_direct = direct_amplitudes(positions, plain, ks) ** 2 / len(positions)
+        s_window = np.abs(values[j]) ** 2 / len(positions)
+        assert np.max(np.abs(s_window - s_direct)) <= 1e-9 * max(s_direct.max(), 1e-300)
+
+
+def test_peak_scaling_takes_no_per_k_sum(monkeypatch):
+    # every zoom window is a uniform grid, so it takes the factorised sum
+    def per_k_sum(*args):
+        raise AssertionError("the peak zoom took the per-k sum")
+
+    monkeypatch.setattr(diffraction, "_grid_amplitudes", per_k_sum)
+    ps = peak_scaling(builtin_rule("thue-morse"), TWO_PI / 3, range(8, 13))
+    assert ps.classification == "SingularContinuous"
+
+
+@pytest.mark.parametrize("family,order", [("fibonacci", 14), ("period-doubling", 12)])
+def test_zoom_windows_equal_the_per_k_sum(family, order):
+    # the windows of the supertile amplitude read what its k-vector call reads
+    chain, amp = diffraction._contrast_chains(builtin_rule(family), (order,))[order]
+    starts, stops = np.array([0.3, 2.1, 3.9]), np.array([0.34, 2.2, 4.0])
+    windows = amp.windows(starts, stops, diffraction.ZOOM_POINTS)
+    for row, a, b in zip(windows, starts, stops):
+        per_k = amp(np.linspace(a, b, diffraction.ZOOM_POINTS))
+        assert np.max(np.abs(row ** 2 - per_k ** 2)) <= 1e-9 * (per_k ** 2).max()
