@@ -214,10 +214,11 @@ def periods(word: str, max_period: int):
     Each period p makes the head word[:max_period] recur at p, so the
     candidates are the head's occurrences at 1..max_period, each confirmed
     by one slice comparison.  Periodicity tests pass a word at least four
-    times longer than max_period, so that a period holds on far more than
-    one long border of the head (Sturmian and Thue-Morse-like words have
-    them); fixed_point_period certifies each period it takes exactly, so
-    there the word's length sets only the cost.
+    times longer than max_period: a period of the word then holds across at
+    least three quarters of it, not only across a long border of its head
+    (Sturmian and Thue-Morse-like words have them).  fixed_point_period
+    certifies each period it takes exactly, so there the word's length sets
+    only the cost.
     """
     head = word[:max_period]
     p = word.find(head, 1, 2 * max_period)
