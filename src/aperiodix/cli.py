@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
@@ -44,10 +43,6 @@ from .svgplot import Series, render_svg
 REL_THRESHOLD_HELP = ("least gap width, in level spacings: rule-backed gaps measure it "
                       "against the approximant's mean level spacing, --spectrum-file "
                       "against the median spacing of the file's levels")
-
-
-def fmt(x: float) -> str:
-    return f"{x:.15g}"
 
 
 def _add_rule_args(parser: argparse.ArgumentParser):
@@ -140,13 +135,10 @@ def cmd_diffract(args) -> int:
     else:
         chain = scaled_chain(rule, args.order)
         spec = structure_factor_grid(chain, args.kmin, args.kmax, args.samples)
-    out = io.StringIO()
-    out.write("k,S\n")
-    for k, s in zip(spec.k_values, spec.S):
-        out.write(f"{fmt(k)},{fmt(s)}\n")
-    _write(out.getvalue(), args.out)
+    ks, ss = spec.k_values.tolist(), spec.S.tolist()
+    _write("k,S\n" + "".join(map("{:.15g},{:.15g}\n".format, ks, ss)), args.out)
     if args.svg:
-        series = [Series(tuple(spec.k_values.tolist()), tuple(spec.S.tolist()))]
+        series = [Series(tuple(ks), tuple(ss))]
         _write(render_svg([(series, "k", "S(k)")]), args.svg)
     return 0
 
@@ -155,11 +147,9 @@ def cmd_spectrum(args) -> int:
     rule = _resolve_rule(args)
     word = rule.project(expand_word(rule, rule.alphabet[0], args.order))
     spec = eigenvalues_tridiag(build_chain(word, _resolve_model(args)))
-    out = io.StringIO()
-    out.write("index,eigenvalue\n")
-    for i, e in enumerate(spec.eigenvalues):
-        out.write(f"{i},{fmt(e)}\n")
-    _write(out.getvalue(), args.out)
+    levels = spec.eigenvalues.tolist()
+    rows = map("{},{:.15g}\n".format, range(len(levels)), levels)
+    _write("index,eigenvalue\n" + "".join(rows), args.out)
     return 0
 
 

@@ -22,7 +22,6 @@ and Fractions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -30,13 +29,11 @@ from itertools import islice
 from .errors import NoFixedPoint, Unrecognized
 from .exactla import (
     char_factors,
-    companion,
-    frac_inverse,
-    frac_kernel,
     frac_solve,
     has_integer_eigenvalue,
     imat_pow,
     int_det,
+    int_kernel,
     lattice_hnf,
     mat_mul,
     perron_root,
@@ -46,6 +43,7 @@ from .exactla import (
     saturation,
     smith_normal_form,
     transpose,
+    unit_companion_inverse,
 )
 from .groups import LabelGroup, field_group, localized_group, two_gen_group
 from .substitution import (
@@ -285,11 +283,10 @@ def direct_limit(a) -> DirectLimitGroup:
 
 def _quotient_by_eventual_kernel(a) -> list[list[int]]:
     """Induced integer matrix on Z^n / sat(ker A^n)."""
-    kernel = frac_kernel(imat_pow(a, len(a)))
+    kernel = int_kernel(imat_pow(a, len(a)))
     if not kernel:
         return a
-    return _induced_on_quotient(a, saturation(_fraction_columns_to_int(kernel)),
-                                "eventual kernel")
+    return _induced_on_quotient(a, saturation(kernel), "eventual kernel")
 
 
 def _induced_on_quotient(a, span, name: str) -> list[list[int]]:
@@ -300,34 +297,24 @@ def _induced_on_quotient(a, span, name: str) -> list[list[int]]:
     invariants) that a maps into itself (U a U^-1 has a zero lower-left
     block); the induced matrix is the trailing block of U a U^-1.
     """
-    u, d, _ = smith_normal_form(span)
+    u, d, _, uinv = smith_normal_form(span)
     rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
     if any(d[i][i] != 1 for i in range(rank)):
         raise ArithmeticError(f"{name} is not a direct summand")
-    uinv = [[int(x) for x in row] for row in frac_inverse(u)]
     conj = mat_mul(mat_mul(u, a), uinv)
     if any(conj[i][j] for i in range(rank, len(a)) for j in range(rank)):
         raise ArithmeticError(f"{name} is not invariant under the action")
     return [row[rank:] for row in conj[rank:]]
 
 
-def _fraction_columns_to_int(vectors) -> list[list[int]]:
-    """Fraction row-vectors -> integer matrix whose columns span the same space."""
-    cols = []
-    for vec in vectors:
-        denom = math.lcm(*(x.denominator for x in vec))
-        cols.append([int(x * denom) for x in vec])
-    return transpose(cols)
-
-
 def _factor_block_lattice(abar, coeffs, mult) -> list[list[int]]:
     """Saturated lattice of the rational kernel of f(A)^mult (columns), f
     given by its integer coefficients, highest first."""
     n = len(abar)
-    kernel = frac_kernel(imat_pow(_poly_of_matrix(coeffs, abar), mult))
+    kernel = int_kernel(imat_pow(_poly_of_matrix(coeffs, abar), mult))
     if not kernel:
         return [[] for _ in range(n)]
-    return saturation(_fraction_columns_to_int(kernel))
+    return saturation(kernel)
 
 
 def _poly_of_matrix(coeffs, m):
@@ -461,6 +448,6 @@ def trace_image(rule: SubstitutionRule) -> LabelGroup:
     freqs = perron_vector(col.matrix, f)
     # 1/lambda of a quadratic unit is an algebraic integer of degree 2, so
     # Z[1/lambda] = Z + Z/lambda: one multiplication closes the lattice
-    divided = transpose(mat_mul(frac_inverse(companion(f)), transpose(freqs)))
+    divided = transpose(mat_mul(unit_companion_inverse(f), transpose(freqs)))
     return field_group(f, lam, freqs + divided)
 

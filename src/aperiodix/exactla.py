@@ -2,18 +2,21 @@
 
 Everything here takes and returns Python ints and fractions.Fraction, so the
 cohomology and trace-group computations never touch floating point.  The
-rational solvers (frac_rref, frac_kernel, frac_solve, frac_inverse) take
-integer matrices and eliminate over ints, fraction-free; only the finished
-pivot rows become Fractions.  An element of a number field Q(lambda) of
-degree d is a rational vector of its coordinates in the power basis
-lambda^(d-1), ..., lambda, 1 (highest power first, like a coefficient list);
-multiplication by lambda is the companion matrix of lambda's minimal
-polynomial, and a finitely generated subgroup is the Hermite normal form of
-its generators (lattice_hnf).  The Perron eigenvectors of a primitive
-integer matrix have entries in Q(lambda1), so perron_vector finds them
-exactly; letter frequencies, tile lengths and the collared patch
-frequencies of the trace image all come from it, and values_at evaluates
-such coordinates at the Perron root.
+H^1 path is integer-only: smith_normal_form returns U^-1 with U, so a
+saturation or a quotient reads it off instead of inverting U, and
+int_kernel takes a kernel's integer columns straight from the one
+fraction-free echelon (_echelon), which frac_rref and frac_solve share;
+only their finished pivot rows become Fractions.  An element of a number
+field Q(lambda) of degree d is a rational vector of its coordinates in the
+power basis lambda^(d-1), ..., lambda, 1 (highest power first, like a
+coefficient list); multiplication by lambda is the companion matrix of
+lambda's minimal polynomial (for a unit lambda, unit_companion_inverse is
+the integer matrix of 1/lambda), and a finitely generated subgroup is the
+Hermite normal form of its generators (lattice_hnf).  The Perron
+eigenvectors of a primitive integer matrix have entries in Q(lambda1), so
+perron_vector finds them exactly; letter frequencies, tile lengths and the
+collared patch frequencies of the trace image all come from it, and
+values_at evaluates such coordinates at the Perron root.
 
 This is the package's one sympy module, and its hot path calls no sympy.
 _charpoly is Faddeev-LeVerrier over ints; char_factors factors that int
@@ -89,17 +92,23 @@ def int_det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """(U, D, V) with U a V = D diagonal, d_1 | d_2 | ..., det U, det V = +-1."""
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """(U, D, V, U^-1) with U a V = D diagonal, d_1 | d_2 | ..., det U, det V = +-1.
+
+    Each row operation on U is mirrored by the inverse column operation on
+    U^-1, whose columns are kept as the rows of uinv_t (one list operation).
+    """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     d = [row[:] for row in a]
     u = identity(rows)
+    uinv_t = identity(rows)
     v = identity(cols)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
+        uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -113,6 +122,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             d[dst][k] += q * d[src][k]
         for k in range(rows):
             u[dst][k] += q * u[src][k]
+        uinv_t[src] = [x - q * y for x, y in zip(uinv_t[src], uinv_t[dst])]
 
     def add_col(src, dst, q):
         for row in d:
@@ -123,6 +133,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     def negate_row(i):
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
+        uinv_t[i] = [-x for x in uinv_t[i]]
 
     t = 0
     while t < min(rows, cols):
@@ -140,14 +151,21 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         swap_cols(t, pivot[1])
         dirty = True
         while dirty:
+            # clear column t before row t (a remainder becomes the pivot and
+            # the clearing starts over), so column operations change row t
+            # alone: reducing row t against a half-cleared column spreads
+            # that column into the block, whose entries then grow
+            # exponentially
             dirty = False
-            for i in range(t + 1, rows):
+            i = t + 1
+            while i < rows:
                 if d[i][t] != 0:
                     q = d[i][t] // d[t][t]
                     add_row(t, i, -q)
                     if d[i][t] != 0:
                         swap_rows(t, i)
-                        dirty = True
+                        i = t
+                i += 1
             for j in range(t + 1, cols):
                 if d[t][j] != 0:
                     q = d[t][j] // d[t][t]
@@ -155,6 +173,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     if d[t][j] != 0:
                         swap_cols(t, j)
                         dirty = True
+                        break
             if not dirty:
                 # enforce divisibility of the remaining block by the pivot
                 for i in range(t + 1, rows):
@@ -168,7 +187,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if d[t][t] < 0:
             negate_row(t)
         t += 1
-    return u, d, v
+    return u, d, v, transpose(uinv_t)
 
 
 def hermite_column_form(a: IntMatrix) -> IntMatrix:
@@ -220,14 +239,14 @@ def hermite_column_form(a: IntMatrix) -> IntMatrix:
     return kept
 
 
-def frac_rref(a) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q of an integer matrix; returns (rref,
-    pivot columns).
+def _echelon(a) -> tuple[IntMatrix, list[int]]:
+    """Reduced row echelon form of an integer matrix over the ints:
+    (pivot rows, pivot columns).
 
-    Elimination runs over Python ints (fraction-free, as in Bareiss): a row
-    is cleared by pivot * row - factor * pivot_row and divided by its gcd.
-    Only at the end is each pivot row divided by its pivot into Fractions,
-    which gives the one reduced echelon form of the row space.
+    Elimination is fraction-free (as in Bareiss): a row is cleared by
+    pivot * row - factor * pivot_row and divided by its gcd.  Pivot row r
+    has its pivot at column pivots[r] and zeros in every other pivot
+    column; it is the reduced echelon row over Q times that pivot.
     """
     m = [list(row) for row in a]
     rows = len(m)
@@ -250,26 +269,40 @@ def frac_rref(a) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == rows:
             break
+    return m[:len(pivots)], pivots
+
+
+def frac_rref(a) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q of an integer matrix; returns (rref,
+    pivot columns).  Each pivot row of _echelon divided by its pivot, which
+    gives the one reduced echelon form of the row space."""
+    m, pivots = _echelon(a)
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
     rref = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
     rref += [[Fraction(0)] * cols for _ in range(rows - len(pivots))]
     return rref, pivots
 
 
-def frac_kernel(a) -> list[list[Fraction]]:
-    """Basis of the right kernel over Q of an integer matrix."""
+def int_kernel(a) -> IntMatrix:
+    """Basis of the right kernel over Q of an integer matrix, as primitive
+    integer columns ([] for a zero kernel): free column f of _echelon's rows
+    m gives x_f = 1 and x_c = -m[r][f] / m[r][c] at each pivot (r, c),
+    times the lcm of those pivots over the gcd."""
     if not a:
         return []
     cols = len(a[0])
-    rref, pivots = frac_rref(a)
-    free = [c for c in range(cols) if c not in pivots]
+    m, pivots = _echelon(a)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
+    for f in (c for c in range(cols) if c not in pivots):
+        scale = math.lcm(*(m[r][c] for r, c in enumerate(pivots) if m[r][f]))
+        vec = [0] * cols
+        vec[f] = scale
         for r, c in enumerate(pivots):
-            vec[c] = -rref[r][f]
-        basis.append(vec)
-    return basis
+            vec[c] = -m[r][f] * scale // m[r][c]
+        g = math.gcd(*vec)
+        basis.append([x // g for x in vec])
+    return transpose(basis)
 
 
 def frac_solve(a, b):
@@ -286,30 +319,19 @@ def frac_solve(a, b):
     return x
 
 
-def frac_inverse(a):
-    """Exact inverse over Q of a square integer matrix."""
-    n = len(a)
-    aug = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    rref, pivots = frac_rref(aug)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in rref]
-
-
 def saturation(columns: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the saturation of the column span inside Z^n.
 
     The saturation is (Q-span of the columns) intersected with Z^n; it is the
-    smallest pure sublattice containing the input.
+    smallest pure sublattice containing the input.  With U columns V = D in
+    Smith form, it is spanned by the first rank columns of U^-1.
     """
     n = len(columns)
     if n == 0 or not columns[0]:
         return [[] for _ in range(n)]
-    u, d, _v = smith_normal_form(columns)
+    _u, d, _v, uinv = smith_normal_form(columns)
     rank = sum(1 for i in range(min(n, len(d[0]))) if d[i][i] != 0)
-    uinv = frac_inverse(u)
-    basis = [[int(uinv[r][i]) for i in range(rank)] for r in range(n)]
-    return hermite_column_form(basis)
+    return hermite_column_form([row[:rank] for row in uinv])
 
 
 # -- number fields in power-basis coordinates --------------------------------
@@ -323,6 +345,15 @@ def companion(poly) -> IntMatrix:
     """
     d = len(poly) - 1
     return [[-poly[i + 1] if j == 0 else int(j == i + 1) for j in range(d)]
+            for i in range(d)]
+
+
+def unit_companion_inverse(poly) -> IntMatrix:
+    """Inverse of companion(poly) when poly[-1] = +-1: the integer matrix of
+    1/lambda, which takes lambda^k to lambda^(k-1) for k >= 1 and 1 to
+    -poly[-1] (lambda^(d-1) + poly[1] lambda^(d-2) + ... + poly[d-1])."""
+    d = len(poly) - 1
+    return [[-poly[-1] * poly[i] if j == d - 1 else int(i == j + 1) for j in range(d)]
             for i in range(d)]
 
 

@@ -23,10 +23,11 @@ def _panel(series, xlabel: str, ylabel: str, y_offset: int, height: int) -> list
     ys = [np.asarray(s.ys, dtype=float) for s in series]
     x0, x1 = min(a.min() for a in xs), max(a.max() for a in xs)
     y0, y1 = min(a.min() for a in ys), max(a.max() for a in ys)
+    # a constant series spans 1.0, or the next float where x0 + 1.0 == x0
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = x0 + 1.0 if x0 + 1.0 != x0 else np.nextafter(x0, np.inf)
     if y1 == y0:
-        y1 = y0 + 1.0
+        y1 = y0 + 1.0 if y0 + 1.0 != y0 else np.nextafter(y0, np.inf)
     plot_w = WIDTH - 2 * MARGIN
     plot_h = height - 2 * MARGIN
 

@@ -2,10 +2,11 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aperiodix import cli
@@ -466,9 +467,9 @@ def per_point_panel(series, y_offset, height):
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = x0 + 1.0 if x0 + 1.0 != x0 else math.nextafter(x0, math.inf)
     if y1 == y0:
-        y1 = y0 + 1.0
+        y1 = y0 + 1.0 if y0 + 1.0 != y0 else math.nextafter(y0, math.inf)
     plot_w = svgplot.WIDTH - 2 * svgplot.MARGIN
     plot_h = height - 2 * svgplot.MARGIN
 
@@ -504,15 +505,59 @@ def svg_panels(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.lists(svg_panels(), min_size=1, max_size=2))
 def test_svg_points_equal_the_per_point_formula(panels):
-    try:
-        expected = [p for i, series in enumerate(panels)
-                    for p in per_point_panel(series, i * svgplot.HEIGHT, svgplot.HEIGHT)]
-    except ZeroDivisionError:
-        reject()   # a constant series at 2^53 or more: x0 + 1.0 == x0
-    text = render_svg([(series, "k", "S(k)") for series in panels])
-    points = [line.split('points="')[1].split('"')[0]
-              for line in text.splitlines() if line.startswith("<polyline")]
-    assert points == expected
+    expected = [p for i, series in enumerate(panels)
+                for p in per_point_panel(series, i * svgplot.HEIGHT, svgplot.HEIGHT)]
+    assert svg_points(render_svg([(series, "k", "S(k)") for series in panels])) == expected
+
+
+def svg_points(text):
+    return [line.split('points="')[1].split('"')[0]
+            for line in text.splitlines() if line.startswith("<polyline")]
+
+
+@pytest.mark.parametrize("series", [Series((2.0**53,), (0.0,)),
+                                    Series((0.0, 1.0), (-(2.0**60),) * 2),
+                                    Series((1e308,) * 3, (5.0,) * 3)])
+def test_svg_constant_series_beyond_2_to_the_53(series):
+    # x0 + 1.0 == x0 there: the span is the next float above x0, never zero
+    [points] = svg_points(render_svg([([series], "k", "S(k)")]))
+    assert "nan" not in points
+    assert [points] == per_point_panel([series], 0, svgplot.HEIGHT)
+
+
+# the CSV columns: every sign of zero and infinity, nan, and the 15-digit edges
+CSV_VALUES = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -2.5, 1e-300, 5e-324,
+                       1.7976931348623157e308, 0.1 + 0.2, 123456789012345678.0,
+                       -1 / 3, 2.0**53 + 2])
+
+
+def per_row_csv(header, columns):
+    """The CSV rows formatted one value at a time, f"{x:.15g}" per float."""
+    rows = [",".join(x if isinstance(x, str) else f"{x:.15g}" for x in row)
+            for row in zip(*columns)]
+    return header + "".join(row + "\n" for row in rows)
+
+
+def test_diffract_csv_equals_the_per_row_format(tmp_path, capsys, monkeypatch):
+    k, s = CSV_VALUES, CSV_VALUES[::-1].copy()
+    monkeypatch.setattr(cli, "contrast_spectrum", lambda *args: SimpleNamespace(k_values=k, S=s))
+    path = tmp_path / "s.csv"
+    assert run_cli(["diffract", "--family", "periodic", "--contrast", "--out", str(path)],
+                   capsys)[0] == 0
+    text = path.read_text(encoding="utf-8")
+    assert text == per_row_csv("k,S\n", [k, s])
+    assert "nan" in text and "-inf" in text and "-0," in text
+
+
+def test_spectrum_csv_equals_the_per_row_format(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "eigenvalues_tridiag",
+                        lambda chain: SimpleNamespace(eigenvalues=CSV_VALUES))
+    path = tmp_path / "e.csv"
+    assert run_cli(["spectrum", "--family", "periodic", "--order", "3", "--out", str(path)],
+                   capsys)[0] == 0
+    indices = [str(i) for i in range(len(CSV_VALUES))]
+    assert path.read_text(encoding="utf-8") == per_row_csv("index,eigenvalue\n",
+                                                           [indices, CSV_VALUES])
 
 
 def test_svg_panels_and_validation():

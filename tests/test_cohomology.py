@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 import aperiodix.cohomology as cohomology
+from aperiodix import cli
 from aperiodix.cohomology import (
     DirectLimitGroup,
     cech_h1,
@@ -18,7 +20,7 @@ from aperiodix.cohomology import (
     trace_image,
 )
 from aperiodix.errors import NoFixedPoint, NotPrimitive, Unrecognized
-from aperiodix.exactla import int_det, mat_mul
+from aperiodix.exactla import identity, int_det, mat_mul
 from aperiodix.groups import nearest_element
 from aperiodix.substitution import (
     OccurrenceMatrix,
@@ -30,6 +32,7 @@ from aperiodix.substitution import (
     occurrence_matrix,
     perron_data,
 )
+import rational_oracles
 from closed_forms import group_for_family
 
 FAMILIES = ("periodic", "fibonacci", "thue-morse", "period-doubling", "rudin-shapiro")
@@ -74,11 +77,11 @@ def test_collar_column_sums_match_image_lengths():
 # -- Smith normal form -------------------------------------------------------
 
 def test_snf_examples():
-    _, d, _ = smith_normal_form([[2, 4], [6, 8]])
+    _, d, _, _ = smith_normal_form([[2, 4], [6, 8]])
     assert [d[0][0], d[1][1]] == [2, 4]
-    _, d, _ = smith_normal_form([[1, 0], [0, 1]])
+    _, d, _, _ = smith_normal_form([[1, 0], [0, 1]])
     assert d == [[1, 0], [0, 1]]
-    _, d, _ = smith_normal_form([[0]])
+    _, d, _, _ = smith_normal_form([[0]])
     assert d == [[0]]
 
 
@@ -88,8 +91,9 @@ def test_snf_contract_random():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         a = [[rng.randint(-8, 8) for _ in range(cols)] for _ in range(rows)]
-        u, d, v = smith_normal_form(a)
+        u, d, v, uinv = smith_normal_form(a)
         assert mat_mul(mat_mul(u, a), v) == d
+        assert mat_mul(u, uinv) == mat_mul(uinv, u) == identity(rows)
         assert abs(int_det(u)) == 1
         assert abs(int_det(v)) == 1
         diag = [d[i][i] for i in range(min(rows, cols))]
@@ -272,6 +276,40 @@ def test_fixed_point_period_equals_the_expansion(rule):
     assert fixed_point_period(rule) == expected
 
 
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(fixed_point_rules())
+def test_periodic_verdicts_satisfy_the_certificate(rule):
+    # the fixed point u of sigma^k through the first letter c with
+    # sigma^k(c) = c..., expanded letter by letter; a verdict p needs
+    # sigma^k(w) = w^m for its p-letter prefix w
+    try:
+        p = fixed_point_period(rule)
+    except NoFixedPoint:
+        reject()
+    if p is None:
+        return
+    table = str.maketrans(rule.images)
+    for power in range(1, 5):
+        seeds = [c for c in rule.alphabet
+                 if (image := _iterate(c, table, power))[0] == c and len(image) > 1]
+        if seeds:
+            break
+    word = seeds[0]
+    while len(word) < p:
+        word = _iterate(word, table, power)
+    w = word[:p]
+    image = _iterate(w, table, power)
+    assert len(image) % p == 0
+    assert image == w * (len(image) // p)
+
+
+def _iterate(word, table, times):
+    for _ in range(times):
+        word = word.translate(table)
+    return word
+
+
 @pytest.mark.parametrize("rule", [
     builtin_rule("fibonacci"),
     SubstitutionRule(("a", "b", "c"), {"a": "ab", "b": "ac", "c": "a"}),
@@ -424,3 +462,50 @@ def test_tribonacci_h1_free_trace_unsupported():
     assert h1.recognized and (h1.free_rank, h1.localized) == (3, ())
     with pytest.raises(Unrecognized):
         trace_image(rule)  # cubic Perron root is outside the supported kinds
+
+
+# -- the integer H^1 path against the rational routines it replaced ------------
+
+
+def guard_rules(count=30, seed=28):
+    """count seeded random primitive rules over two or three letters, images
+    of one to four letters."""
+    rng = random.Random(seed)
+    rules = []
+    while len(rules) < count:
+        alphabet = "abc"[:rng.randint(2, 3)]
+        images = {c: "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                  for c in alphabet}
+        rule = {"name": f"random-{len(rules)}", "alphabet": list(alphabet), "images": images}
+        if is_primitive(occurrence_matrix(SubstitutionRule(tuple(alphabet), images))):
+            rules.append(rule)
+    return rules
+
+
+def cli_outcomes(argvs, capsys):
+    """(exit code or exception, stdout, stderr) of each CLI call."""
+    outcomes = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except Exception as exc:   # an uncaught error is an outcome too
+            code = f"{type(exc).__name__}: {exc}"
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+def test_cohomology_and_trace_equal_the_rational_oracles(tmp_path, capsys, monkeypatch):
+    argvs = []
+    for name in FAMILIES:
+        argvs += [[command, "--family", name] for command in ("cohomology", "trace")]
+    for rule in guard_rules():
+        path = tmp_path / f"{rule['name']}.json"
+        path.write_text(json.dumps(rule), encoding="utf-8")
+        argvs += [[command, "--rule-file", str(path)] for command in ("cohomology", "trace")]
+    integer = cli_outcomes(argvs, capsys)
+    calls = {}
+    rational_oracles.patch_in(monkeypatch, calls)
+    assert cli_outcomes(argvs, capsys) == integer
+    # every replaced routine was exercised, and some rules were refused
+    assert set(calls) == set(rational_oracles.ORACLES)
+    assert {code for code, _, _ in integer} >= {0, 1}

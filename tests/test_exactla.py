@@ -11,22 +11,24 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import aperiodix
-from aperiodix.cohomology import cech_h1, trace_image
+from aperiodix.cohomology import _induced_on_quotient, cech_h1, trace_image
 from aperiodix.errors import AperiodixError, Unrecognized
 from aperiodix.exactla import (
     _charpoly,
     char_factors,
     companion,
-    frac_inverse,
-    frac_kernel,
     frac_rref,
     frac_solve,
     identity,
     int_det,
+    int_kernel,
     mat_mul,
     perron_root,
     poly_text,
     prime_base,
+    saturation,
+    smith_normal_form,
+    unit_companion_inverse,
 )
 from aperiodix.substitution import (
     OccurrenceMatrix,
@@ -36,6 +38,9 @@ from aperiodix.substitution import (
     occurrence_matrix,
     perron_data,
 )
+
+import rational_oracles
+from rational_oracles import frac_inverse, frac_kernel
 
 FAMILIES = ("periodic", "fibonacci", "thue-morse", "period-doubling", "rudin-shapiro")
 X = sympy.Symbol("x")
@@ -223,6 +228,89 @@ def test_frac_solve_is_none_exactly_when_inconsistent(a, data):
     assert (x is not None) == consistent
     if x is not None:
         assert [sum(p * q for p, q in zip(row, x)) for row in a] == b
+
+
+# -- the integer H^1 path against its rational oracles ------------------------
+
+
+@st.composite
+def smith_matrices(draw, square=False):
+    """Integer matrices from 1 x 1 to 7 x 7; rank-deficient ones (a product
+    through k < min(rows, cols) columns, k = 0 the zero matrix) are drawn on
+    purpose."""
+    rows = draw(st.integers(1, 7))
+    cols = rows if square else draw(st.integers(1, 7))
+    entries = st.integers(-6, 6)
+    if draw(st.booleans()):
+        return [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    k = draw(st.integers(0, min(rows, cols) - 1))
+    left = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(rows)]
+    right = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(k)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * cols
+            for row in left]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(smith_matrices())
+def test_smith_form_returns_the_inverse_of_u(a):
+    u, d, v, uinv = smith_normal_form(a)
+    assert mat_mul(u, uinv) == identity(len(a))
+    assert mat_mul(mat_mul(u, a), v) == d
+    assert abs(int_det(v)) == 1
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    assert all(d[i][j] == 0 for i in range(len(d)) for j in range(len(d[0])) if i != j)
+    assert all(x >= 0 for x in diag)
+    assert all((x == 0 and y == 0) or (x != 0 and y % x == 0) for x, y in zip(diag, diag[1:]))
+
+
+def test_smith_form_of_a_dense_matrix_keeps_its_entries_small():
+    # reducing row t against a half-cleared column t took 11 s on this
+    # matrix, through entries of three million bits
+    a = [[-5, 3, 1, 3, -5, 4], [-6, -6, -6, -2, -6, -2], [-2, -4, 2, 1, 3, 5],
+         [4, -1, -6, 1, -1, -3], [-3, -1, 5, 5, -6, -6], [1, 2, -3, 0, -4, -4]]
+    u, d, v, uinv = smith_normal_form(a)
+    assert [d[i][i] for i in range(6)] == [1, 1, 1, 1, 1, 10308]
+    assert max(abs(x) for m in (u, v, uinv) for row in m for x in row) < 2**64
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(smith_matrices())
+def test_int_kernel_saturates_as_the_fraction_oracle(a):
+    kernel = int_kernel(a)
+    oracle = rational_oracles.kernel_columns(a)
+    # the same primitive columns, so the same saturated Hermite form
+    assert kernel == oracle
+    assert (len(kernel[0]) if kernel else 0) == len(a[0]) - rank(a)
+    assert all(sum(x * y for x, y in zip(row, col)) == 0
+               for row in a for col in zip(*kernel))
+    assert saturation(kernel) == rational_oracles.saturation(oracle)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(smith_matrices(square=True), st.data())
+def test_induced_on_quotient_equals_its_frac_inverse_version(a, data):
+    n = len(a)
+    kernel = int_kernel(a)
+    if kernel and data.draw(st.booleans()):
+        span = saturation(kernel)    # invariant and a direct summand
+    else:
+        span = data.draw(smith_matrices().filter(lambda m: len(m) == n))
+
+    def outcome(induced):
+        try:
+            return induced(a, span, "span")
+        except ArithmeticError as exc:
+            return str(exc)
+
+    assert outcome(_induced_on_quotient) == outcome(rational_oracles.induced_on_quotient)
+
+
+@pytest.mark.parametrize("poly", [(1, -1, -1), (1, -3, 1), (1, 0, 1), (1, 5, -1),
+                                  (1, -1, 0, -1), (1, 2, -3, 4, 1)])
+def test_unit_companion_inverse_is_the_inverse(poly):
+    inverse = unit_companion_inverse(poly)
+    assert mat_mul(companion(poly), inverse) == identity(len(poly) - 1)
+    assert inverse == frac_inverse(companion(poly))
 
 
 # -- polynomials against sympy's object layer, the oracle ---------------------
