@@ -280,9 +280,9 @@ def test_fixed_point_period_equals_the_expansion(rule):
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(fixed_point_rules())
 def test_periodic_verdicts_satisfy_the_certificate(rule):
-    # the fixed point u of sigma^k through the first letter c with
-    # sigma^k(c) = c..., expanded letter by letter; a verdict p needs
-    # sigma^k(w) = w^m for its p-letter prefix w
+    # the fixed point of sigma^k through the first letter c that sigma^k
+    # maps to a longer word beginning with c, expanded here: its p-letter
+    # prefix w must have sigma^k(w) = w^m
     try:
         p = fixed_point_period(rule)
     except NoFixedPoint:
@@ -467,7 +467,7 @@ def test_tribonacci_h1_free_trace_unsupported():
 # -- the integer H^1 path against the rational routines it replaced ------------
 
 
-def guard_rules(count=30, seed=28):
+def guard_rules(count=30, seed=1):
     """count seeded random primitive rules over two or three letters, images
     of one to four letters."""
     rng = random.Random(seed)

@@ -234,11 +234,11 @@ def test_frac_solve_is_none_exactly_when_inconsistent(a, data):
 
 
 @st.composite
-def smith_matrices(draw, square=False):
+def smith_matrices(draw, square=False, rows=None):
     """Integer matrices from 1 x 1 to 7 x 7; rank-deficient ones (a product
     through k < min(rows, cols) columns, k = 0 the zero matrix) are drawn on
     purpose."""
-    rows = draw(st.integers(1, 7))
+    rows = rows or draw(st.integers(1, 7))
     cols = rows if square else draw(st.integers(1, 7))
     entries = st.integers(-6, 6)
     if draw(st.booleans()):
@@ -294,7 +294,7 @@ def test_induced_on_quotient_equals_its_frac_inverse_version(a, data):
     if kernel and data.draw(st.booleans()):
         span = saturation(kernel)    # invariant and a direct summand
     else:
-        span = data.draw(smith_matrices().filter(lambda m: len(m) == n))
+        span = data.draw(smith_matrices(rows=n))
 
     def outcome(induced):
         try:
