@@ -26,10 +26,8 @@ from .spectral import (
     HoppingModel,
     OnsiteModel,
     TightBindingChain,
-    brute_force_eigs,
     build_chain,
     bulk_gaps,
-    counting_function,
     detect_gaps,
     eigenvalues_tridiag,
 )

@@ -58,11 +58,20 @@ def _add_model_args(parser: argparse.ArgumentParser):
     parser.add_argument("--eps", type=float, default=1.0)
 
 
+def _read_file(path: str, parse):
+    """parse(text) of a UTF-8 file; undecodable bytes, malformed JSON and a
+    wrong shape are one error that names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(fh.read())
+        except (AperiodixError, ValueError) as exc:
+            raise AperiodixError(f"{path}: {exc}") from exc
+
+
 def _resolve_rule(args) -> SubstitutionRule:
     if args.family:
         return builtin_rule(args.family)
-    with open(args.rule_file, "r", encoding="utf-8") as fh:
-        return SubstitutionRule.from_json(fh.read())
+    return _read_file(args.rule_file, SubstitutionRule.from_json)
 
 
 def _resolve_model(args):
@@ -162,21 +171,7 @@ def cmd_gaps(args) -> int:
 
         from .spectral import EnergySpectrum, bulk_gaps
 
-        with open(args.spectrum_file, "r", encoding="utf-8") as fh:
-            rows = [line.split(",") for line in fh.read().strip().splitlines()[1:]]
-        if any(len(r) < 2 for r in rows):
-            raise AperiodixError(f"{args.spectrum_file}: every row after the header "
-                                 "must read index,eigenvalue")
-        eigs = []
-        for r in rows:
-            try:
-                eigs.append(float(r[1]))
-            except ValueError:
-                raise AperiodixError(f"{args.spectrum_file}: row {','.join(r)!r} has a "
-                                     "non-numeric eigenvalue") from None
-        eigs = np.array(eigs)
-        if not np.isfinite(eigs).all():
-            raise AperiodixError(f"{args.spectrum_file}: every eigenvalue must be finite")
+        eigs = np.array(_read_file(args.spectrum_file, _spectrum_levels))
         gaps = bulk_gaps(EnergySpectrum(np.sort(eigs)), args.rel_threshold)
     else:
         gaps = hull_averaged_gaps(rule, args.order, _resolve_model(args),
@@ -228,18 +223,35 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _read_gaps_ids(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        gaps_doc = json.load(fh)
+def _spectrum_levels(text: str) -> list[float]:
+    """The eigenvalue column of a spectrum CSV (a header, then rows
+    index,eigenvalue), every eigenvalue finite."""
+    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+    if any(len(r) < 2 for r in rows):
+        raise AperiodixError("every row after the header must read index,eigenvalue")
+    eigs = []
+    for r in rows:
+        try:
+            eigs.append(float(r[1]))
+        except ValueError:
+            raise AperiodixError(f"row {','.join(r)!r} has a non-numeric eigenvalue") from None
+    if not all(map(math.isfinite, eigs)):
+        raise AperiodixError("every eigenvalue must be finite")
+    return eigs
+
+
+def _gaps_ids(text: str) -> list:
+    """The "ids" of every gap of a gaps document (gaps --out)."""
+    gaps_doc = json.loads(text)
     try:
         return [g["ids"] for g in gaps_doc.get("gaps", [])]
     except (KeyError, TypeError, AttributeError) as exc:
-        raise AperiodixError(f'{path}: a gaps document is an object whose "gaps" '
-                             f'entries each carry "ids" ({type(exc).__name__}: {exc})') from exc
+        raise AperiodixError('a gaps document is an object whose "gaps" entries each '
+                             f'carry "ids" ({type(exc).__name__}: {exc})') from exc
 
 
 def cmd_bloch(args) -> int:
-    gaps_ids = _read_gaps_ids(args.gaps_file) if args.gaps_file else None
+    gaps_ids = _read_file(args.gaps_file, _gaps_ids) if args.gaps_file else None
     report = bloch_report(args.family, tol=args.tol, q_max=args.q_max,
                           n_max=args.nmax, rel_threshold=args.rel_threshold)
     data = report_to_dict(report)

@@ -13,11 +13,17 @@ collared substitution, which for a primitive rule is primitive on the legal
 collared letters: the closure is exactly the legal collared alphabet
 (collar), and cech_h1 and trace_image require primitivity before they collar.
 
+H^1 of the complex (a graph) is free: by the universal coefficient theorem
+it is Hom(H_1, Z) plus Ext(H_0, Z) = 0, so the coboundary image is a direct
+summand and the action on H^1 is read off one Smith form of the coboundary
+(_induced_on_quotient, which quotients by the saturation of any invariant
+span, the eventual kernel too).
+
 Direct limits of integer matrices are recognised exactly (no floating point)
 as sums of Z and Z[1/p] factors where possible; anything else is returned
 unrecognised with its raw presentation.  Characteristic polynomials, prime
 powers and the Perron root come from exactla as integer coefficients, ints
-and Fractions.
+and Fractions; direct_limit computes one characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ from itertools import islice
 from .errors import NoFixedPoint, Unrecognized
 from .exactla import (
     char_factors,
+    charpoly,
     frac_solve,
     has_integer_eigenvalue,
     imat_pow,
-    int_det,
     int_kernel,
     lattice_hnf,
     mat_mul,
@@ -150,17 +156,19 @@ def collar(rule: SubstitutionRule, radius: int = 1) -> CollaredAlphabet:
             out.append((word[i - radius:i], word[i], word[i + 1:i + 1 + radius]))
         return out
 
+    image = {}
     work = list(symbols)
     while work:
         sym = work.pop()
-        for child in image_of(sym):
+        image[sym] = image_of(sym)
+        for child in image[sym]:
             if child not in symbols:
                 symbols.add(child)
                 work.append(child)
 
     ordered = tuple(sorted(symbols))
     index = {s: i for i, s in enumerate(ordered)}
-    images = tuple(tuple(index[t] for t in image_of(s)) for s in ordered)
+    images = tuple(tuple(index[t] for t in image[s]) for s in ordered)
     n = len(ordered)
     matrix = [[0] * n for _ in range(n)]
     for j, img in enumerate(images):
@@ -230,35 +238,33 @@ def _fixed_point_seed(rule: SubstitutionRule) -> tuple[str, int]:
 def direct_limit(a) -> DirectLimitGroup:
     """Direct limit of the action of an integer matrix on Z^n.
 
-    The eventual kernel is split off first; on the quotient the matrix is
-    nonsingular and each irreducible factor f of its characteristic
-    polynomial contributes Z^(deg f * mult) when |f(0)| = 1, and
-    Z[1/p]^(deg f * mult) when f(0) = +-p^k and f = x^deg mod p.  Explicit
-    denominator checks confirm the block splitting is exact; any failure
-    returns the raw presentation unrecognised.
+    One characteristic polynomial f = x^j g serves throughout: the eventual
+    kernel is ker A^j, and the matrix A-bar induced on Z^n / sat(ker A^j) is
+    nonsingular with characteristic polynomial g.  Its last coefficient is
+    +-det A-bar, so |g(0)| = 1 gives Z^(n-j) before anything is factored.
+    Otherwise each irreducible factor f of g contributes Z^(deg f * mult)
+    when |f(0)| = 1, and Z[1/p]^(deg f * mult) when f(0) = +-p^k and
+    f = x^deg mod p.  Only the Z[1/p] factors build a block lattice, on
+    which explicit denominator checks confirm the block splitting is exact;
+    any failure returns the raw presentation unrecognised.
     """
     a = [list(row) for row in a]
     presentation = tuple(tuple(row) for row in a)
     n = len(a)
     if n == 0:
         return DirectLimitGroup(0, (), presentation, True)
-    abar = _quotient_by_eventual_kernel(a)
-    s = len(abar)
+    f = charpoly(a)
+    s = max(i for i, c in enumerate(f) if c)  # f = x^(n - s) g, g = f[:s + 1]
     if s == 0:
         return DirectLimitGroup(0, (), presentation, True, note="trivial limit")
-    det = int_det(abar)
-    if abs(det) == 1:
+    if abs(f[s]) == 1:
         return DirectLimitGroup(s, (), presentation, True)
 
-    blocks = []  # (kind, prime, lattice columns, dim)
-    for coeffs, mult in char_factors(abar):  # coeffs monic, leading first
-        lattice = _factor_block_lattice(abar, coeffs, mult)
-        dim = len(lattice[0]) if lattice else 0
-        if dim != (len(coeffs) - 1) * mult:
-            return DirectLimitGroup(0, (), presentation, False,
-                                    note="block dimension mismatch")
+    free_rank = 0
+    loc_factors = []  # (prime, coefficients, multiplicity)
+    for coeffs, mult in char_factors(f[:s + 1]):  # coeffs monic, leading first
         if abs(coeffs[-1]) == 1:
-            blocks.append(("free", None, lattice, dim))
+            free_rank += (len(coeffs) - 1) * mult
             continue
         p = prime_base(abs(coeffs[-1]))
         if p is None:
@@ -267,40 +273,32 @@ def direct_limit(a) -> DirectLimitGroup:
         if any(c % p for c in coeffs[1:]):
             return DirectLimitGroup(0, (), presentation, False,
                                     note=f"factor {poly_text(coeffs)} not p-nilpotent mod {p}")
-        blocks.append(("loc", p, lattice, dim))
+        loc_factors.append((p, coeffs, mult))
 
-    loc_blocks = [b for b in blocks if b[0] == "loc"]
-    if loc_blocks and not _splitting_is_clean(loc_blocks):
+    abar = a if s == n else _induced_on_quotient(a, int_kernel(imat_pow(a, n - s)),
+                                                 "eventual kernel")
+    loc_blocks = [(p, _factor_block_lattice(abar, coeffs, mult))
+                  for p, coeffs, mult in loc_factors]
+    if not _splitting_is_clean(loc_blocks):
         return DirectLimitGroup(0, (), presentation, False,
                                 note="cross-prime glue does not split")
-    free_rank = sum(dim for kind, _, _, dim in blocks if kind == "free")
     counts: dict[int, int] = {}
-    for _, p, _, dim in loc_blocks:
-        counts[p] = counts.get(p, 0) + dim
-    localized = tuple(sorted(counts.items()))
-    return DirectLimitGroup(free_rank, localized, presentation, True)
-
-
-def _quotient_by_eventual_kernel(a) -> list[list[int]]:
-    """Induced integer matrix on Z^n / sat(ker A^n)."""
-    kernel = int_kernel(imat_pow(a, len(a)))
-    if not kernel:
-        return a
-    return _induced_on_quotient(a, saturation(kernel), "eventual kernel")
+    for p, lattice in loc_blocks:
+        counts[p] = counts.get(p, 0) + len(lattice[0])
+    return DirectLimitGroup(free_rank, tuple(sorted(counts.items())), presentation, True)
 
 
 def _induced_on_quotient(a, span, name: str) -> list[list[int]]:
-    """Matrix that the integer matrix a induces on Z^n / (column span of span).
+    """Matrix that the integer matrix a induces on Z^n / sat(span), sat(span)
+    the saturation of the column span of span.
 
-    The Smith form U span V = D puts the span on the first r = rank
-    coordinates of y = U x.  The span must be a direct summand (unit
-    invariants) that a maps into itself (U a U^-1 has a zero lower-left
-    block); the induced matrix is the trailing block of U a U^-1.
+    The Smith form U span V = D puts sat(span), which the first r = rank
+    columns of U^-1 span, on the first r coordinates of y = U x.  a must map
+    it into itself (U a U^-1 has a zero lower-left block); the induced
+    matrix is the trailing block of U a U^-1.
     """
     u, d, _, uinv = smith_normal_form(span)
     rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    if any(d[i][i] != 1 for i in range(rank)):
-        raise ArithmeticError(f"{name} is not a direct summand")
     conj = mat_mul(mat_mul(u, a), uinv)
     if any(conj[i][j] for i in range(rank, len(a)) for j in range(rank)):
         raise ArithmeticError(f"{name} is not invariant under the action")
@@ -309,12 +307,9 @@ def _induced_on_quotient(a, span, name: str) -> list[list[int]]:
 
 def _factor_block_lattice(abar, coeffs, mult) -> list[list[int]]:
     """Saturated lattice of the rational kernel of f(A)^mult (columns), f
-    given by its integer coefficients, highest first."""
-    n = len(abar)
-    kernel = int_kernel(imat_pow(_poly_of_matrix(coeffs, abar), mult))
-    if not kernel:
-        return [[] for _ in range(n)]
-    return saturation(kernel)
+    given by its integer coefficients, highest first; its rank is
+    deg f * mult, the dimension of a generalised eigenspace."""
+    return saturation(int_kernel(imat_pow(_poly_of_matrix(coeffs, abar), mult)))
 
 
 def _poly_of_matrix(coeffs, m):
@@ -333,21 +328,22 @@ def _splitting_is_clean(loc_blocks) -> bool:
     W = saturation of the union of the p-block lattices.  Every basis vector
     of W must decompose with each p-component having only p-power
     denominators in its own block basis; then lim(W) = (+)_p Z[1/p]^(m_p).
+    One solve takes every basis vector of W at once.
     """
-    stacked = _concat_columns([lattice for _, _, lattice, _ in loc_blocks])
-    for target in transpose(saturation(stacked)):
-        combo = frac_solve(stacked, target)
-        if combo is None:
-            return False
-        offset = 0
-        for _, p, _, dim in loc_blocks:
-            for x in combo[offset:offset + dim]:
+    stacked = _concat_columns([lattice for _, lattice in loc_blocks])
+    combos = frac_solve(stacked, saturation(stacked))
+    if combos is None:
+        return False
+    offset = 0
+    for p, lattice in loc_blocks:
+        for row in combos[offset:offset + len(lattice[0])]:
+            for x in row:
                 denom = x.denominator
                 while denom % p == 0:
                     denom //= p
                 if denom != 1:
                     return False
-            offset += dim
+        offset += len(lattice[0])
     return True
 
 

@@ -13,10 +13,6 @@ class LengthLimit(AperiodixError):
     """A generated word would exceed the configured length cap."""
 
 
-class SizeLimit(AperiodixError):
-    """Matrix too large for the brute-force oracle."""
-
-
 class UnknownFamily(AperiodixError):
     """Family name is not one of the built-ins."""
 

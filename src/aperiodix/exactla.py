@@ -5,23 +5,26 @@ cohomology and trace-group computations never touch floating point.  The
 H^1 path is integer-only: smith_normal_form returns U^-1 with U, so a
 saturation or a quotient reads it off instead of inverting U, and
 int_kernel takes a kernel's integer columns straight from the one
-fraction-free echelon (_echelon), which frac_rref and frac_solve share;
-only their finished pivot rows become Fractions.  An element of a number
-field Q(lambda) of degree d is a rational vector of its coordinates in the
-power basis lambda^(d-1), ..., lambda, 1 (highest power first, like a
-coefficient list); multiplication by lambda is the companion matrix of
-lambda's minimal polynomial (for a unit lambda, unit_companion_inverse is
-the integer matrix of 1/lambda), and a finitely generated subgroup is the
-Hermite normal form of its generators (lattice_hnf).  The Perron
-eigenvectors of a primitive integer matrix have entries in Q(lambda1), so
-perron_vector finds them exactly; letter frequencies, tile lengths and the
-collared patch frequencies of the trace image all come from it, and
-values_at evaluates such coordinates at the Perron root.
+fraction-free echelon (_echelon), which frac_solve shares: it reads a
+solution, for any number of right-hand sides at once, off the finished
+pivot rows, so only the solution's entries become Fractions.  An element
+of a number field Q(lambda) of degree d is a rational vector of its
+coordinates in the power basis lambda^(d-1), ..., lambda, 1 (highest power
+first, like a coefficient list); multiplication by lambda is the
+companion matrix of lambda's minimal polynomial (for a unit lambda,
+unit_companion_inverse is the integer matrix of 1/lambda), and a finitely
+generated subgroup is the Hermite normal form of its generators
+(lattice_hnf).  The Perron eigenvectors of a primitive integer matrix have
+entries in Q(lambda1), so perron_vector finds them exactly; letter
+frequencies, tile lengths and the collared patch frequencies of the trace
+image all come from it, and values_at evaluates such coordinates at the
+Perron root.
 
 This is the package's one sympy module, and its hot path calls no sympy.
-_charpoly is Faddeev-LeVerrier over ints; char_factors factors that int
+charpoly is Faddeev-LeVerrier over ints; char_factors factors such an int
 list itself (Yun's square-free parts, a closed form for quadratics, and
-numpy.roots grouped into factors that exact division certifies);
+numpy.roots grouped into factors that exact division certifies), so a
+caller that needs both the polynomial and its factors computes it once;
 perron_root locates lambda1 with numpy.roots and certifies and rounds it in
 integer arithmetic; poly_text prints a factor as sympy does.  The one sympy
 call left is sympy.factorint in prime_base, a few microseconds on inflation
@@ -68,28 +71,6 @@ def imat_pow(m: IntMatrix, n: int) -> IntMatrix:
         base = mat_mul(base, base)
         n >>= 1
     return result
-
-
-def int_det(m: IntMatrix) -> int:
-    """Exact integer determinant (fraction-free Bareiss)."""
-    n = len(m)
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
@@ -272,18 +253,6 @@ def _echelon(a) -> tuple[IntMatrix, list[int]]:
     return m[:len(pivots)], pivots
 
 
-def frac_rref(a) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q of an integer matrix; returns (rref,
-    pivot columns).  Each pivot row of _echelon divided by its pivot, which
-    gives the one reduced echelon form of the row space."""
-    m, pivots = _echelon(a)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rref = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
-    rref += [[Fraction(0)] * cols for _ in range(rows - len(pivots))]
-    return rref, pivots
-
-
 def int_kernel(a) -> IntMatrix:
     """Basis of the right kernel over Q of an integer matrix, as primitive
     integer columns ([] for a zero kernel): free column f of _echelon's rows
@@ -306,16 +275,17 @@ def int_kernel(a) -> IntMatrix:
 
 
 def frac_solve(a, b):
-    """One solution over Q of a x = b (integer a and b), or None if
-    inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rref, pivots = frac_rref([list(a[i]) + [b[i]] for i in range(rows)])
-    if cols in pivots:
+    """One solution X over Q of a X = b, or None if inconsistent: a and b are
+    integer matrices with as many rows, b one column per right-hand side.
+    Free variables are 0, and the pivot rows of the one _echelon of (a | b)
+    give the pivot variables, so only X's entries become Fractions."""
+    cols = len(a[0])
+    m, pivots = _echelon([list(row) + list(rhs) for row, rhs in zip(a, b)])
+    if pivots and pivots[-1] >= cols:
         return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][cols]
+    x = [[Fraction(0)] * len(b[0]) for _ in range(cols)]
+    for row, c in zip(m, pivots):
+        x[c] = [Fraction(y, row[c]) for y in row[cols:]]
     return x
 
 
@@ -384,11 +354,11 @@ def perron_vector(matrix, poly) -> list[list[Fraction]]:
     rows = [[matrix[i][j] * (k == m) - (i == j) * c[k][m]
              for j in range(n) for m in range(d)] for i in range(n) for k in range(d)]
     rows += [[int(k == m) for _ in range(n) for m in range(d)] for k in range(d)]
-    one = [0] * (n * d) + [int(k == d - 1) for k in range(d)]
+    one = [[0]] * (n * d) + [[int(k == d - 1)] for k in range(d)]
     v = frac_solve(rows, one)
     if v is None:
         raise Unrecognized("matrix has no Perron kernel vector")
-    return [v[i * d:(i + 1) * d] for i in range(n)]
+    return [[row[0] for row in v[i * d:(i + 1) * d]] for i in range(n)]
 
 
 def values_at(coords, root) -> list:
@@ -399,7 +369,7 @@ def values_at(coords, root) -> list:
 
 # -- polynomials ---------------------------------------------------------------
 
-def _charpoly(entries) -> list[int]:
+def charpoly(entries) -> list[int]:
     """det(x I - A) of a square integer matrix: integer coefficients, highest
     first, by Faddeev-LeVerrier.  M_1 = I, c_k = -tr(A M_k) / k and
     M_(k+1) = A M_k + c_k I; each division by k is exact over the ints."""
@@ -415,16 +385,16 @@ def _charpoly(entries) -> list[int]:
     return coeffs
 
 
-def char_factors(entries) -> list[tuple[tuple[int, ...], int]]:
-    """Irreducible factors over Q of the characteristic polynomial of a square
-    integer matrix: (integer coefficients highest first, multiplicity).
+def char_factors(f) -> list[tuple[tuple[int, ...], int]]:
+    """Irreducible factors over Q of a characteristic polynomial f, given by
+    its integer coefficients highest first (monic, as charpoly returns it):
+    (integer coefficients highest first, multiplicity).
 
     No sympy: x^j is split off, Yun's algorithm with primitive-PRS gcds on
     int lists gives the square-free parts, and _sqf_factors splits each.
     Factors, multiplicities and their order (the key (length, multiplicity,
     coefficients)) are those of sympy's factor_list, which the tests keep as
     the oracle."""
-    f = _charpoly(entries)
     j = len(f) - len(_strip(f[::-1]))
     factors = [((1, 0), j)] if j else []
     for part, mult in _yun(f[:len(f) - j]):
@@ -567,9 +537,9 @@ def _rounded_product(roots, tol):
 
 def has_integer_eigenvalue(entries, top: int) -> bool:
     """Whether an integer r in [1, top] is an eigenvalue of a square integer
-    matrix: a root of _charpoly, so a divisor of its last nonzero
+    matrix: a root of charpoly, so a divisor of its last nonzero
     coefficient."""
-    f = _strip(_charpoly(entries)[::-1])[::-1]
+    f = _strip(charpoly(entries)[::-1])[::-1]
     return any(f[-1] % r == 0 and _horner(f, r)[0] == 0 for r in range(1, top + 1))
 
 
@@ -673,7 +643,7 @@ def perron_root(entries) -> tuple[Fraction, tuple[int, ...]]:
     locates it and exact integer arithmetic certifies and refines it
     (_certified_root); a root that cannot be certified is refused.
     """
-    factors = [poly for poly, _ in char_factors(entries)]
+    factors = [poly for poly, _ in char_factors(charpoly(entries))]
     candidates = sorted(((z.real, which) for which, g in enumerate(factors)
                          for z in np.roots(g) if abs(z.imag) <= 1e-6 * max(1.0, abs(z))),
                         reverse=True)

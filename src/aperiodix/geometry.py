@@ -10,7 +10,6 @@ per-letter Python loop.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +76,7 @@ def rule_chain(rule: SubstitutionRule, pd: PerronData, letters: str) -> AtomChai
 
 
 def chain_to_csv(chain: AtomChain) -> str:
-    out = io.StringIO()
-    out.write("index,letter,position\n")
-    for i, (letter, x) in enumerate(zip(chain.tile_letters, chain.positions)):
-        out.write(f"{i},{letter},{x:.15g}\n")
-    return out.getvalue()
+    rows = map("{},{},{:.15g}\n".format, range(chain.n_atoms), chain.tile_letters,
+               chain.positions.tolist())
+    return "index,letter,position\n" + "".join(rows)
 

@@ -26,13 +26,12 @@ from aperiodix.spectral import (
     HoppingModel,
     TightBindingChain,
     _sturm_count,
-    brute_force_eigs,
     build_chain,
-    counting_function,
     eigenvalues_tridiag,
 )
 from aperiodix.substitution import builtin_rule, expand_word
 from closed_forms import group_for_family
+from spectral_oracles import brute_force_eigs, counting_function
 
 FAMILIES = ("periodic", "fibonacci", "thue-morse", "period-doubling", "rudin-shapiro")
 GOLDEN = (1 + math.sqrt(5)) / 2

@@ -317,6 +317,35 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys, command, flag, te
     assert len(lines) == 1 and lines[0].startswith("aperiodix: error:")
 
 
+BAD_FILES = {
+    "malformed JSON": b'{"alphabet": ["a", "b"],',
+    "undecodable bytes": b'{"alphabet": ["a", "b"], "images": {"a": "ab", "b": "\xff"}}',
+    "wrong shape": b"[1, 2]",
+}
+
+
+@pytest.mark.parametrize("command", [["trace", "--rule-file"],
+                                     ["bloch", "--family", "periodic", "--gaps-file"]])
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_a_bad_input_file_is_one_error_that_names_it(tmp_path, capsys, command, case):
+    path = tmp_path / "input.json"
+    path.write_bytes(BAD_FILES[case])
+    code, out, err = run_cli([*command, str(path)], capsys)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"aperiodix: error: {path}: ")
+
+
+def test_an_undecodable_spectrum_file_is_one_error_that_names_it(tmp_path, capsys):
+    path = tmp_path / "spectrum.csv"
+    path.write_bytes(b"index,eigenvalue\n0,\xff\n")
+    code, out, err = run_cli(["gaps", "--family", "periodic", "--spectrum-file", str(path)],
+                             capsys)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"aperiodix: error: {path}: ")
+
+
 def test_negative_flag_values_in_any_float_form(capsys):
     # argparse alone takes -1e-3 and -inf for option names, not values
     base = ["spectrum", "--family", "periodic", "--order", "6"]

@@ -20,7 +20,14 @@ from aperiodix.cohomology import (
     trace_image,
 )
 from aperiodix.errors import NoFixedPoint, NotPrimitive, Unrecognized
-from aperiodix.exactla import identity, int_det, mat_mul
+from aperiodix.exactla import (
+    char_factors,
+    charpoly,
+    identity,
+    imat_pow,
+    int_kernel,
+    mat_mul,
+)
 from aperiodix.groups import nearest_element
 from aperiodix.substitution import (
     OccurrenceMatrix,
@@ -94,8 +101,8 @@ def test_snf_contract_random():
         u, d, v, uinv = smith_normal_form(a)
         assert mat_mul(mat_mul(u, a), v) == d
         assert mat_mul(u, uinv) == mat_mul(uinv, u) == identity(rows)
-        assert abs(int_det(u)) == 1
-        assert abs(int_det(v)) == 1
+        assert abs(sympy.Matrix(u).det()) == 1
+        assert abs(sympy.Matrix(v).det()) == 1
         diag = [d[i][i] for i in range(min(rows, cols))]
         for x, y in zip(diag, diag[1:]):
             assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
@@ -157,10 +164,89 @@ def test_direct_limit_conjugation_invariant():
             else:
                 u = mat_mul(u, [[1, 0], [q, 1]])
         uinv = [[u[1][1], -u[0][1]], [-u[1][0], u[0][0]]]
-        assert int_det(u) == 1
+        assert sympy.Matrix(u).det() == 1
         conj = mat_mul(mat_mul(u, base), uinv)
         g = direct_limit(conj)
         assert (g.free_rank, g.localized) == (1, ((2, 1),))
+
+
+# irreducible factors the block matrices are made of: x (nilpotent parts),
+# units, prime powers that give Z[1/p] blocks, a mixed prime (6) and factors
+# that are not p-nilpotent mod p
+BLOCKS = [(1, 0), (1, 0), (1, -1), (1, 1), (1, -1, -1), (1, -2), (1, 2), (1, -3),
+          (1, -4), (1, 0, -2), (1, -2, -2), (1, -4, 2), (1, -6), (1, -3, -2)]
+
+
+@st.composite
+def limit_matrices(draw):
+    """Integer matrices from 1 x 1 to 6 x 6: random ones, and block upper
+    triangular ones with companions of BLOCKS on the diagonal, glued by
+    random entries above the blocks."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        return [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(n)]
+    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=4)
+                  .filter(lambda bs: sum(len(b) - 1 for b in bs) <= 6))
+    starts = [sum(len(b) - 1 for b in blocks[:k]) for k in range(len(blocks) + 1)]
+    n = starts[-1]
+    a = [[0] * n for _ in range(n)]
+    for b, at, end in zip(blocks, starts, starts[1:]):
+        for i in range(at, end):
+            a[i][at:end] = companion_row(b, i - at)
+            for j in range(end, n):
+                a[i][j] = draw(st.integers(-2, 2))
+    return a
+
+
+def companion_row(poly, i):
+    d = len(poly) - 1
+    return [-poly[i + 1] if j == 0 else int(j == i + 1) for j in range(d)]
+
+
+def unimodular_pair(draw, n):
+    """(P, P^-1): a product of integer row operations and its inverse, each
+    operation E applied as P <- E P and P^-1 <- P^-1 E^-1."""
+    p, pinv = identity(n), identity(n)
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            p[i] = [-x for x in p[i]]
+            for row in pinv:
+                row[i] = -row[i]
+        else:
+            c = draw(st.integers(-3, 3))
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+            for row in pinv:
+                row[j] -= c * row[i]
+    return p, pinv
+
+
+def limit_outcome(a):
+    try:
+        g = direct_limit(a)
+    except Unrecognized as exc:
+        return str(exc)
+    return g.structure_name, g.recognized, g.note
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(limit_matrices(), st.data())
+def test_direct_limit_is_invariant_under_unimodular_conjugation(a, data):
+    p, pinv = unimodular_pair(data.draw, len(a))
+    assert mat_mul(p, pinv) == identity(len(a))
+    assert limit_outcome(mat_mul(mat_mul(p, a), pinv)) == limit_outcome(a)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(limit_matrices())
+def test_quotient_by_the_eventual_kernel_drops_only_the_factor_x(a):
+    # charpoly(A-bar) = charpoly(A) / x^j, so A-bar's factors are A's but x
+    n = len(a)
+    kernel = int_kernel(imat_pow(a, n))
+    abar = cohomology._induced_on_quotient(a, kernel, "eventual kernel") if kernel else a
+    assert len(abar) == n - (len(kernel[0]) if kernel else 0)
+    expected = [(f, mult) for f, mult in char_factors(charpoly(a)) if f != (1, 0)]
+    assert char_factors(charpoly(abar)) == expected
 
 
 # -- Cech H1 (Table 1 values) ------------------------------------------------
@@ -236,8 +322,8 @@ def expanded_period(rule):
     reference of fixed_point_period's integer-eigenvalue certificate."""
     m = occurrence_matrix(rule).entries
     lam = round(max(abs(np.linalg.eigvals(np.array(m, dtype=float)))))
-    if int_det([[lam * (i == j) - x for j, x in enumerate(row)]
-                for i, row in enumerate(m)]):
+    if sympy.Matrix([[lam * (i == j) - x for j, x in enumerate(row)]
+                     for i, row in enumerate(m)]).det():
         return None
     for power in range(1, 5):
         for c in rule.alphabet:
@@ -494,6 +580,36 @@ def cli_outcomes(argvs, capsys):
     return outcomes
 
 
+def guard_and_family_rules():
+    return [builtin_rule(name) for name in FAMILIES] + [
+        SubstitutionRule(tuple(rule["alphabet"]), rule["images"]) for rule in guard_rules()]
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_every_coboundary_is_a_direct_summand(radius, monkeypatch):
+    # H^1 of a graph is free (Ext(H_0, Z) = 0), so the coboundary image is a
+    # direct summand of Z^edges: every nonzero Smith invariant is 1
+    spans = []
+    induced = cohomology._induced_on_quotient
+
+    def spy(a, span, name):
+        spans.append(span)
+        return induced(a, span, name)
+
+    monkeypatch.setattr(cohomology, "_induced_on_quotient", spy)
+    rules = guard_and_family_rules()
+    for rule in rules:
+        try:
+            cohomology._h1_action_matrix(rule, radius)
+        except ArithmeticError:
+            pass
+    assert len(spans) == len(rules)
+    for span in spans:
+        _, d, _, _ = smith_normal_form(span)
+        invariants = [d[i][i] for i in range(min(len(d), len(d[0])))]
+        assert 1 in invariants and set(invariants) <= {0, 1}
+
+
 def test_cohomology_and_trace_equal_the_rational_oracles(tmp_path, capsys, monkeypatch):
     argvs = []
     for name in FAMILIES:
@@ -502,7 +618,31 @@ def test_cohomology_and_trace_equal_the_rational_oracles(tmp_path, capsys, monke
         path = tmp_path / f"{rule['name']}.json"
         path.write_text(json.dumps(rule), encoding="utf-8")
         argvs += [[command, "--rule-file", str(path)] for command in ("cohomology", "trace")]
+    limits = []
+    limit = cohomology.direct_limit
+
+    def spy(a):
+        limits.append((a, limit(a)))
+        return limits[-1][1]
+
+    monkeypatch.setattr(cohomology, "direct_limit", spy)
     integer = cli_outcomes(argvs, capsys)
+    # the rules reach every branch of direct_limit: a nonzero eventual
+    # kernel, the unimodular return, a Z[1/p] block and the three refusals
+    reached = set()
+    for a, g in limits:
+        f = charpoly(a)
+        s = max(i for i, c in enumerate(f) if c)
+        if s < len(a):
+            reached.add("kernel")
+        if s and abs(f[s]) == 1:
+            reached.add("unimodular")
+        if g.localized:
+            reached.add("Z[1/p]")
+        reached.update(note for note in ("mixed primes", "not p-nilpotent", "cross-prime glue")
+                       if note in g.note)
+    assert reached == {"kernel", "unimodular", "Z[1/p]", "mixed primes", "not p-nilpotent",
+                       "cross-prime glue"}
     calls = {}
     rational_oracles.patch_in(monkeypatch, calls)
     assert cli_outcomes(argvs, capsys) == integer

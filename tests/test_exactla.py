@@ -14,13 +14,12 @@ import aperiodix
 from aperiodix.cohomology import _induced_on_quotient, cech_h1, trace_image
 from aperiodix.errors import AperiodixError, Unrecognized
 from aperiodix.exactla import (
-    _charpoly,
+    _echelon,
     char_factors,
+    charpoly,
     companion,
-    frac_rref,
     frac_solve,
     identity,
-    int_det,
     int_kernel,
     mat_mul,
     perron_root,
@@ -40,7 +39,7 @@ from aperiodix.substitution import (
 )
 
 import rational_oracles
-from rational_oracles import frac_inverse, frac_kernel
+from rational_oracles import frac_inverse, frac_kernel, fraction_rref
 
 FAMILIES = ("periodic", "fibonacci", "thue-morse", "period-doubling", "rudin-shapiro")
 X = sympy.Symbol("x")
@@ -72,7 +71,7 @@ def test_char_factors_multiply_to_the_characteristic_polynomial(a):
     # det(x I - A) at small integers x, read from the factors with their
     # multiplicities: an exact oracle for any factoriser
     n = len(a)
-    factors = char_factors(a)
+    factors = char_factors(charpoly(a))
     for x in range(-3, 4):
         product = 1
         for coeffs, mult in factors:
@@ -80,14 +79,13 @@ def test_char_factors_multiply_to_the_characteristic_polynomial(a):
             for c in coeffs:
                 value = value * x + c
             product *= value ** mult
-        assert product == int_det([[x * (i == j) - a[i][j] for j in range(n)]
-                                   for i in range(n)])
+        assert product == sympy.Matrix(n, n, lambda i, j: x * (i == j) - a[i][j]).det()
 
 
 def test_char_factors_text_and_multiplicity():
-    assert char_factors([[6]]) == [((1, -6), 1)]
-    assert char_factors([[2, 0], [0, 2]]) == [((1, -2), 2)]
-    assert char_factors([[2, 1], [1, 1]]) == [((1, -3, 1), 1)]
+    assert char_factors(charpoly([[6]])) == [((1, -6), 1)]
+    assert char_factors(charpoly([[2, 0], [0, 2]])) == [((1, -2), 2)]
+    assert char_factors(charpoly([[2, 1], [1, 1]])) == [((1, -3, 1), 1)]
     assert poly_text((1, -6)) == "x - 6"
     assert poly_text((1, -3, 1)) == "x**2 - 3*x + 1"
     assert poly_text((1, 0, -4, 2)) == "x**3 - 4*x + 2"
@@ -108,31 +106,6 @@ def test_perron_root_is_one_fraction():
 
 
 # -- rational elimination ---------------------------------------------------
-
-
-def fraction_rref(a):
-    """Gauss-Jordan in Fractions: the oracle of the integer-only frac_rref."""
-    m = [[Fraction(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
 
 
 def rank(a):
@@ -160,22 +133,29 @@ def int_matrices(draw, max_rows=8, max_cols=9):
     return m
 
 
+def echelon_rref(a):
+    """The reduced echelon form over Q read off _echelon: each pivot row over
+    its pivot, then zero rows."""
+    m, pivots = _echelon(a)
+    cols = len(a[0]) if a else 0
+    rref = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    return rref + [[Fraction(0)] * cols for _ in range(len(a) - len(pivots))], pivots
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(int_matrices())
-def test_frac_rref_equals_fraction_gauss_jordan(a):
-    rref, pivots = frac_rref(a)
-    expected, expected_pivots = fraction_rref(a)
-    assert pivots == expected_pivots
-    assert rref == expected
-    assert all(type(x) is Fraction for row in rref for x in row)
+def test_echelon_equals_fraction_gauss_jordan(a):
+    m, pivots = _echelon(a)
+    assert all(type(x) is int for row in m for x in row)
+    assert echelon_rref(a) == fraction_rref(a)
 
 
-def test_frac_rref_of_empty_and_zero_matrices():
-    assert frac_rref([]) == ([], [])
-    assert frac_rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
-    assert frac_rref([[2, 4], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
-    assert frac_solve([[1, 2], [2, 4]], [1, 3]) is None
-    assert frac_solve([[1, 2], [2, 4]], [1, 2]) == [1, 0]
+def test_echelon_of_empty_and_zero_matrices():
+    assert _echelon([]) == ([], [])
+    assert _echelon([[0, 0], [0, 0]]) == ([], [])
+    assert echelon_rref([[2, 4], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert frac_solve([[1, 2], [2, 4]], [[1], [3]]) is None
+    assert frac_solve([[1, 2], [2, 4]], [[1], [2]]) == [[1], [0]]
 
 
 def unimodular(draw, n):
@@ -223,11 +203,47 @@ def test_frac_kernel_vectors_are_annihilated(a):
 @given(int_matrices().filter(bool), st.data())
 def test_frac_solve_is_none_exactly_when_inconsistent(a, data):
     b = data.draw(st.lists(st.integers(-6, 6), min_size=len(a), max_size=len(a)))
-    x = frac_solve(a, b)
+    x = frac_solve(a, [[y] for y in b])
     consistent = rank(a) == rank([row + [y] for row, y in zip(a, b)])
     assert (x is not None) == consistent
     if x is not None:
-        assert [sum(p * q for p, q in zip(row, x)) for row in a] == b
+        assert [sum(p * q for p, (q,) in zip(row, x)) for row in a] == b
+
+
+def fraction_solve(a, b):
+    """One solution of a x = b by Fraction Gauss-Jordan, free variables 0,
+    or None if inconsistent."""
+    cols = len(a[0])
+    rref, pivots = fraction_rref([row + [y] for row, y in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = rref[r][cols]
+    return x
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(int_matrices().filter(bool), st.data())
+def test_frac_solve_of_several_right_hand_sides_equals_the_oracle(a, data):
+    # consistent columns (images a y) beside arbitrary ones
+    k = data.draw(st.integers(1, 4))
+    columns = []
+    for _ in range(k):
+        if data.draw(st.booleans()):
+            y = data.draw(st.lists(st.integers(-3, 3), min_size=len(a[0]),
+                                   max_size=len(a[0])))
+            columns.append([sum(p * q for p, q in zip(row, y)) for row in a])
+        else:
+            columns.append(data.draw(st.lists(st.integers(-6, 6), min_size=len(a),
+                                              max_size=len(a))))
+    x = frac_solve(a, [list(row) for row in zip(*columns)])
+    expected = [fraction_solve(a, b) for b in columns]
+    if None in expected:
+        assert x is None
+    else:
+        assert [list(col) for col in zip(*x)] == expected
+        assert all(type(v) is Fraction for row in x for v in row)
 
 
 # -- the integer H^1 path against its rational oracles ------------------------
@@ -256,7 +272,7 @@ def test_smith_form_returns_the_inverse_of_u(a):
     u, d, v, uinv = smith_normal_form(a)
     assert mat_mul(u, uinv) == identity(len(a))
     assert mat_mul(mat_mul(u, a), v) == d
-    assert abs(int_det(v)) == 1
+    assert abs(sympy.Matrix(v).det()) == 1
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
     assert all(d[i][j] == 0 for i in range(len(d)) for j in range(len(d[0])) if i != j)
     assert all(x >= 0 for x in diag)
@@ -292,7 +308,7 @@ def test_induced_on_quotient_equals_its_frac_inverse_version(a, data):
     n = len(a)
     kernel = int_kernel(a)
     if kernel and data.draw(st.booleans()):
-        span = saturation(kernel)    # invariant and a direct summand
+        span = kernel    # invariant, as the eventual kernel
     else:
         span = data.draw(smith_matrices(rows=n))
 
@@ -356,9 +372,9 @@ def char_matrices(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(char_matrices())
 def test_charpoly_and_factors_equal_sympys(a):
-    assert _charpoly(a) == [int(c) for c in sympy_charpoly(a).all_coeffs()]
+    assert charpoly(a) == [int(c) for c in sympy_charpoly(a).all_coeffs()]
     # factors, their order and their multiplicities
-    assert char_factors(a) == sympy_char_factors(a)
+    assert char_factors(charpoly(a)) == sympy_char_factors(a)
 
 
 IRREDUCIBLES = [
@@ -405,8 +421,8 @@ def poly_mul(f, g):
 @given(block_companions())
 def test_char_factors_of_block_companions_equal_sympys(case):
     a, poly = case
-    factors = char_factors(a)
-    assert _charpoly(a) == poly
+    factors = char_factors(charpoly(a))
+    assert charpoly(a) == poly
     # factors, their order and their multiplicities
     assert factors == [(tuple(int(c) for c in g.all_coeffs()), mult)
                        for g, mult in sympy.Poly(poly, X).factor_list()[1]]
@@ -421,13 +437,13 @@ def test_char_factors_refuses_roots_numpy_cannot_separate():
     # x^3 - 2 (10^6 x - 1)^2 has two roots 1.4e-15 apart near 1e-6
     with pytest.raises(Unrecognized, match="^cannot separate the roots of "
                        r"x\*\*3 - 2000000000000\*x\*\*2 \+ 4000000\*x - 2$"):
-        char_factors(companion((1, -2 * 10**12, 4 * 10**6, -2)))
+        char_factors(charpoly(companion((1, -2 * 10**12, 4 * 10**6, -2))))
 
 
 def test_char_factors_of_nilpotent_and_scalar_matrices():
-    assert char_factors([[0, 1, 2], [0, 0, 3], [0, 0, 0]]) == [((1, 0), 3)]
-    assert char_factors([[-2, 0], [0, -2]]) == [((1, 2), 2)]
-    assert _charpoly([[0, 1], [1, 1]]) == [1, -1, -1]
+    assert char_factors(charpoly([[0, 1, 2], [0, 0, 3], [0, 0, 0]])) == [((1, 0), 3)]
+    assert char_factors(charpoly([[-2, 0], [0, -2]])) == [((1, 2), 2)]
+    assert charpoly([[0, 1], [1, 1]]) == [1, -1, -1]
 
 
 def mpmath_perron_root(a):

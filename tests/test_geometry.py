@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aperiodix.geometry import chain_from_rule, chain_to_csv, positions_from_word
+from aperiodix.geometry import AtomChain, chain_from_rule, chain_to_csv, positions_from_word
 from aperiodix.diffraction import scaled_chain
 from aperiodix.substitution import (
     SubstitutionRule,
@@ -71,3 +73,28 @@ def test_csv_round_trip():
     assert [int(i) for i, _, _ in rows] == list(range(chain.n_atoms))
     assert "".join(letter for _, letter, _ in rows) == chain.tile_letters
     assert np.allclose([float(x) for _, _, x in rows], chain.positions, atol=1e-12)
+
+
+def per_row_csv(chain):
+    """The chain CSV written a row at a time, f"{x:.15g}" per position."""
+    rows = [f"{i},{letter},{x:.15g}\n"
+            for i, (letter, x) in enumerate(zip(chain.tile_letters, chain.positions))]
+    return "index,letter,position\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("family", ["periodic", "fibonacci", "thue-morse",
+                                    "period-doubling", "rudin-shapiro"])
+def test_chain_csv_equals_the_per_row_format_on_the_families(family):
+    chain = chain_from_rule(builtin_rule(family), 8)
+    assert chain_to_csv(chain) == per_row_csv(chain)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ab"),
+                          st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 0.1 + 0.2]),
+                                    st.floats(allow_nan=False, allow_infinity=False))),
+                max_size=40))
+def test_chain_csv_equals_the_per_row_format_on_drawn_chains(atoms):
+    letters = "".join(letter for letter, _ in atoms)
+    chain = AtomChain(np.array([x for _, x in atoms], dtype=float), letters, 1.0, 1.0)
+    assert chain_to_csv(chain) == per_row_csv(chain)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aperiodix import spectral
 from aperiodix.cutproject import CPParams, cp_word
-from aperiodix.errors import LengthLimit, SizeLimit
+from aperiodix.errors import LengthLimit
 from aperiodix.spectral import (
     BISECT_STEPS,
     MAX_STRAYS,
@@ -21,10 +21,8 @@ from aperiodix.spectral import (
     _gershgorin,
     _sturm_count,
     approximant,
-    brute_force_eigs,
     build_chain,
     bulk_gaps,
-    counting_function,
     detect_gaps,
     eigenvalues_tridiag,
     lifted_counts,
@@ -36,6 +34,7 @@ from aperiodix.substitution import (
     is_primitive,
     occurrence_matrix,
 )
+from spectral_oracles import SizeLimit, brute_force_eigs, counting_function
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 # sites that cross two block ends of a pass of up to a few hundred shifts,
