@@ -23,6 +23,7 @@ from aperiodix.errors import NoFixedPoint, NotPrimitive, Unrecognized
 from aperiodix.exactla import (
     char_factors,
     charpoly,
+    companion,
     identity,
     imat_pow,
     int_kernel,
@@ -79,6 +80,20 @@ def test_collar_column_sums_match_image_lengths():
         col = collar(builtin_rule(name))
         for j, img in enumerate(col.images):
             assert sum(col.matrix[i][j] for i in range(col.size)) == len(img)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("radius", [1, 2])
+def test_collar_images_spell_the_substitution(family, radius):
+    # the image of (u, c, v) is sigma(c) letter by letter, each letter with
+    # its context inside sigma(u) sigma(c) sigma(v)
+    rule = builtin_rule(family)
+    col = collar(rule, radius)
+    for (u, c, v), img in zip(col.symbols, col.images):
+        word = "".join(rule.images[x] for x in u + c + v)
+        start = sum(len(rule.images[x]) for x in u)
+        assert ["".join(col.symbols[t]) for t in img] == [
+            word[i - radius:i + radius + 1] for i in range(start, start + len(rule.images[c]))]
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -138,6 +153,20 @@ def test_direct_limit_mixed_block():
     assert (g.free_rank, g.localized) == (1, ((2, 1),))
 
 
+@pytest.mark.parametrize("a, name", [
+    ([[2, 1], [0, 0]], "Z[1/2]"),
+    ([[2, 1, 0], [0, 0, 1], [0, 0, 0]], "Z[1/2]"),
+    ([[1, 1, 0], [1, 0, 0], [0, 0, 0]], "Z^2"),
+    ([[2, 0, 1], [0, 3, 1], [0, 0, 0]], "Z[1/2] ⊕ Z[1/3]"),
+    ([[0, 1, 1], [0, 2, 0], [0, 0, 3]], "Z[1/2] ⊕ Z[1/3]"),
+])
+def test_direct_limit_splits_off_the_eventual_kernel(a, name):
+    # x, the factor of the nilpotent part, contributes nothing
+    g = direct_limit(a)
+    assert g.recognized and g.note == ""
+    assert g.structure_name == name
+
+
 def test_direct_limit_cross_prime_glue_unrecognized():
     # eigenvalues 2 and 5 with eigenlattice of index 3: the limit is a
     # genuinely indecomposable rank-2 group, not Z[1/2] (+) Z[1/5]
@@ -191,16 +220,11 @@ def limit_matrices(draw):
     n = starts[-1]
     a = [[0] * n for _ in range(n)]
     for b, at, end in zip(blocks, starts, starts[1:]):
-        for i in range(at, end):
-            a[i][at:end] = companion_row(b, i - at)
+        for i, row in enumerate(companion(b), start=at):
+            a[i][at:end] = row
             for j in range(end, n):
                 a[i][j] = draw(st.integers(-2, 2))
     return a
-
-
-def companion_row(poly, i):
-    d = len(poly) - 1
-    return [-poly[i + 1] if j == 0 else int(j == i + 1) for j in range(d)]
 
 
 def unimodular_pair(draw, n):
